@@ -15,6 +15,12 @@
 //! lock-free [`SpscRing`] per shard (spin-then-park backpressure; see
 //! [`ring`] and [`ShardStats::ring`]), so the only cross-thread
 //! hand-off on the hot path is the ring's head/tail publication.
+//! Batches are self-clocking: a `push*` call ships every batch whose
+//! shard has an empty ring, and a batch only grows — up to
+//! [`StreamConfig::max_batch`] — while its worker still has a message
+//! queued. Detection latency below saturation is therefore service
+//! time, not batch fill time, and at saturation batches are as large
+//! as ever (see [`runtime`] and [`ShardStats::ships`]).
 //! Ingestion entry points take `&mut self` — the single-producer half
 //! of the rings' SPSC contract is a compile-time fact, not a runtime
 //! check. Keys are hashed onto `W` worker threads; each worker owns one
@@ -32,8 +38,8 @@
 //!  push_batch(&[e])  │   ┌─ shard 0: controllers [Q0, Q1, …] │
 //!  ── key = extract ─┼──▶│            { key ↦ [engine Q0,    │──▶ MatchSink
 //!     hash(key) % W  │   │                     engine Q1] }  │    (tagged
-//!                    │   ├─ shard 1: …                       │     matches)
-//!                    │   └─ shard W-1: …                     │
+//!   ship: ring empty │   ├─ shard 1: …                       │     matches)
+//!    or max_batch    │   └─ shard W-1: …                     │
 //!                    └────────────────────────────────────────┘
 //! ```
 //!

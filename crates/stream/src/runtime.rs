@@ -9,6 +9,22 @@
 //! the ring's spin-then-park protocol, whose park/wake accounting
 //! surfaces in [`ShardStats::ring`](crate::stats::ShardStats::ring).
 //!
+//! Batches are **self-clocking**: every `push*` call ends by shipping
+//! each shard's in-flight batch whose ring is empty at that moment, and
+//! keeps assembling the others up to
+//! [`max_batch`](StreamConfig::max_batch). An empty ring means the
+//! worker has nothing queued, so events held back for it would only
+//! wait; a non-empty ring means the worker is busy, and the batch grows
+//! by itself for as long as that lasts. Batch size therefore follows
+//! the load — one push call's worth below saturation, `max_batch` at
+//! saturation — and why each batch left is counted in
+//! [`ShardStats::ships`](crate::stats::ShardStats::ships). The emptiness
+//! test is racy only towards "not empty" (the consumer can pop between
+//! the two loads), i.e. towards holding. What remains held is bounded
+//! by the caller: events routed while a ring was non-empty wait for the
+//! next `push*` call or barrier — there is no timer — and
+//! [`flush`](ShardedRuntime::flush) is the explicit bound.
+//!
 //! Every ingestion entry point takes `&mut self`: the single-producer
 //! half of each ring's SPSC contract is enforced statically. To ingest
 //! from several threads, partition upstream and give each thread its
@@ -31,7 +47,7 @@ use crate::registry::PatternSet;
 use crate::ring::SpscRing;
 use crate::shard::{ShardWorker, ToWorker};
 use crate::sink::MatchSink;
-use crate::stats::{RuntimeStats, ShardStats};
+use crate::stats::{RuntimeStats, ShardStats, ShipStats};
 use crate::telemetry::{build_plane, TelemetryConfig, TelemetryHub};
 
 /// Reply a barrier records for a worker that died without sending its
@@ -104,11 +120,15 @@ pub struct StreamConfig {
     /// see [`ShardStats::ring`](crate::stats::ShardStats::ring)) rather
     /// than unbounded queueing.
     pub channel_capacity: usize,
-    /// Producer-side batch target: a shard's in-flight [`ShardBatch`]
-    /// ships to its worker when it reaches this many events. Barriers
-    /// ([`flush`](ShardedRuntime::flush), watermarks, stats, finish)
-    /// ship partial batches early, so batching never delays a barrier's
-    /// contract.
+    /// Producer-side batch cap: the most events a shard's in-flight
+    /// [`ShardBatch`] holds before it ships regardless of what its
+    /// worker is doing. It is a cap, not a fill target: a batch ships
+    /// earlier — at the end of the `push*` call that finds the shard's
+    /// ring empty, or ahead of any barrier
+    /// ([`flush`](ShardedRuntime::flush), watermarks, stats,
+    /// checkpoint, finish) — so it is only reached while the worker
+    /// stays busy, which is when large batches pay (see the module
+    /// docs).
     pub max_batch: usize,
     /// Event-time disorder tolerated at ingestion. The default
     /// (`bound == 0`) declares the stream in-order and compiles to a
@@ -164,10 +184,15 @@ struct WorkerHandle {
 pub struct ShardedRuntime {
     workers: Vec<WorkerHandle>,
     /// Per-shard batches under producer-side assembly. Events persist
-    /// here across `push*` calls until the batch reaches `max_batch`
-    /// (or a barrier drains it), so small pushes still ship in full
-    /// batches.
+    /// here across `push*` calls only while their shard's ring is
+    /// non-empty (see the module docs), and never more than `max_batch`
+    /// of them.
     pending: Vec<ShardBatch>,
+    /// The shards whose `pending` batch is non-empty, each once, so the
+    /// end-of-push ship test costs O(shards with pending) and not O(W).
+    assembling: Vec<usize>,
+    /// Per-shard ship-reason counts (see [`ShipStats`]).
+    ships: Vec<ShipStats>,
     extractor: Arc<dyn KeyExtractor>,
     num_queries: usize,
     telemetry: Option<Arc<TelemetryHub>>,
@@ -316,9 +341,11 @@ impl ShardedRuntime {
             workers.push(WorkerHandle { ring, handle });
         }
         let pending = (0..workers.len())
-            .map(|_| ShardBatch::with_target(config.max_batch))
+            .map(|_| ShardBatch::with_cap(config.max_batch))
             .collect();
         Ok(Self {
+            assembling: Vec::with_capacity(workers.len()),
+            ships: vec![ShipStats::default(); workers.len()],
             workers,
             pending,
             extractor,
@@ -367,11 +394,13 @@ impl ShardedRuntime {
 
     /// Ingests a batch attributed to [`SourceId::MERGED`]: events are
     /// routed into their shards' in-flight batches by partition key
-    /// (extracted here, on the producer side) and shipped as each batch
-    /// reaches `max_batch`, preserving the input order *within every
-    /// key*. Blocks when a shard's ring is full (backpressure). Events
-    /// below the batch target stay assembled until a later push fills
-    /// the batch or a barrier ships it.
+    /// (extracted here, on the producer side), preserving the input
+    /// order *within every key*. A batch ships when it reaches
+    /// `max_batch`, and at the end of this call if its shard's ring is
+    /// empty — so events pushed into an idle runtime reach their worker
+    /// without a barrier. Events for a shard whose worker still has a
+    /// message queued stay assembled until the next `push*` call or
+    /// barrier. Blocks when a shard's ring is full (backpressure).
     pub fn push_batch(&mut self, events: &[Arc<Event>]) {
         self.route(events.iter().map(|ev| (SourceId::MERGED, ev)));
     }
@@ -396,7 +425,9 @@ impl ShardedRuntime {
 
     /// Routes source-tagged events into the per-shard in-flight batches
     /// (see [`push_batch`](Self::push_batch) for the ordering
-    /// contract), shipping each batch as it fills.
+    /// contract), shipping each batch as it reaches the cap and, once
+    /// everything is routed, each batch whose worker has nothing
+    /// queued.
     fn route<'a>(&mut self, events: impl Iterator<Item = (SourceId, &'a Arc<Event>)>) {
         for (source, ev) in events {
             // The key travels with the event so workers never re-run
@@ -404,10 +435,30 @@ impl ShardedRuntime {
             let key = self.extractor.shard_key(ev);
             let shard = self.shard_of(key);
             self.events_ingested += 1;
-            if self.pending[shard].push(key, source, Arc::clone(ev)) {
+            let batch = &mut self.pending[shard];
+            if batch.is_empty() {
+                self.assembling.push(shard);
+            }
+            if batch.push(key, source, Arc::clone(ev)) {
+                self.assembling.retain(|&s| s != shard);
                 self.ship(shard);
+                self.ships[shard].full += 1;
             }
         }
+        // Self-clocking: an empty ring means the worker has nothing
+        // queued, so what is assembled for it leaves now. `is_empty`
+        // can only err towards "not empty" (the worker pops between its
+        // two loads), which holds the batch until the next call.
+        let mut assembling = std::mem::take(&mut self.assembling);
+        assembling.retain(|&shard| {
+            let idle = self.workers[shard].ring.is_empty();
+            if idle {
+                self.ship(shard);
+                self.ships[shard].idle += 1;
+            }
+            !idle
+        });
+        self.assembling = assembling;
     }
 
     /// The runtime's position in the caller's event sequence: events
@@ -418,25 +469,28 @@ impl ShardedRuntime {
         self.events_ingested
     }
 
-    /// Ships shard `shard`'s in-flight batch to its worker (no-op when
-    /// empty).
+    /// Ships shard `shard`'s in-flight (non-empty) batch to its worker.
     fn ship(&mut self, shard: usize) {
-        if self.pending[shard].is_empty() {
-            return;
-        }
         let events = self.pending[shard].take();
         self.send(shard, ToWorker::Batch(events));
     }
 
     /// Ships every shard's in-flight batch. Every control message
-    /// (watermark, flush, stats, finish) must be preceded by this:
-    /// events pushed before a barrier must reach their worker before
-    /// the barrier's message, or the barrier would acknowledge a prefix
-    /// it never saw.
+    /// (watermark, flush, stats, checkpoint, finish) must be preceded
+    /// by this: events pushed before a barrier must reach their worker
+    /// before the barrier's message, or the barrier would acknowledge a
+    /// prefix it never saw.
     fn drain_pending(&mut self) {
-        for shard in 0..self.workers.len() {
+        while let Some(shard) = self.assembling.pop() {
             self.ship(shard);
+            self.ships[shard].barrier += 1;
         }
+    }
+
+    /// Attaches the producer-side ship counts to a worker's snapshot.
+    fn with_ships(&self, mut stats: ShardStats) -> ShardStats {
+        stats.ships = self.ships[stats.shard];
+        stats
     }
 
     /// Punctuation: advances the event-time watermark of every shard to
@@ -567,7 +621,7 @@ impl ShardedRuntime {
         let mut failure: Option<(usize, String)> = None;
         for (shard, rx) in replies.into_iter().enumerate() {
             match rx.recv() {
-                Ok(Ok(stats)) => shards.push(stats),
+                Ok(Ok(stats)) => shards.push(self.with_ships(stats)),
                 Ok(Err(payload)) => {
                     failure.get_or_insert((shard, payload));
                 }
@@ -689,7 +743,7 @@ impl ShardedRuntime {
         let mut failure: Option<(usize, String)> = None;
         for (shard, rx) in replies.into_iter().enumerate() {
             match rx.recv() {
-                Ok(Ok(stats)) => shards.push(stats),
+                Ok(Ok(stats)) => shards.push(self.with_ships(stats)),
                 Ok(Err(payload)) => {
                     failure.get_or_insert((shard, payload));
                 }
@@ -735,5 +789,177 @@ impl Drop for ShardedRuntime {
             w.ring.close();
             let _ = w.handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    use acep_core::AdaptiveConfig;
+    use acep_types::{AttrKeyExtractor, EventTypeId, Pattern, Value};
+
+    use super::*;
+    use crate::sink::TaggedMatch;
+
+    /// How long a test waits for a worker before calling the event
+    /// stuck. Generous: only a hang ever waits it out.
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    /// Reports the size of every `on_batch` call to the test thread,
+    /// then holds the worker inside the call for as long as the gate's
+    /// sender is alive.
+    struct ProbeSink {
+        seen: Mutex<Sender<usize>>,
+        gate: Mutex<Receiver<()>>,
+    }
+
+    impl MatchSink for ProbeSink {
+        fn on_match(&self, m: TaggedMatch) {
+            self.on_batch(vec![m]);
+        }
+
+        fn on_batch(&self, ms: Vec<TaggedMatch>) {
+            let _ = self.seen.lock().unwrap().send(ms.len());
+            // `Err` = the test dropped the gate: open for good.
+            let _ = self.gate.lock().unwrap().recv();
+        }
+    }
+
+    /// A runtime over `SEQ(T0, T1)` per user, its sink's report channel
+    /// and the gate (drop it to let the sink return).
+    fn probe_runtime(config: StreamConfig) -> (ShardedRuntime, Receiver<usize>, Sender<()>) {
+        let mut set = PatternSet::new(2);
+        let pair = Pattern::sequence("pair", &[EventTypeId(0), EventTypeId(1)], 1_000_000);
+        set.register("pair", pair, AdaptiveConfig::default())
+            .unwrap();
+        let (seen_tx, seen_rx) = channel();
+        let (gate_tx, gate_rx) = channel();
+        let sink = Arc::new(ProbeSink {
+            seen: Mutex::new(seen_tx),
+            gate: Mutex::new(gate_rx),
+        });
+        let runtime =
+            ShardedRuntime::new(&set, Arc::new(AttrKeyExtractor { attr: 0 }), sink, config)
+                .unwrap();
+        (runtime, seen_rx, gate_tx)
+    }
+
+    fn event(ty: u32, user: i64, seq: u64) -> Arc<Event> {
+        Event::new(EventTypeId(ty), seq, seq, vec![Value::Int(user)])
+    }
+
+    /// Waits until the sink has reported `matches` matches.
+    fn await_matches(seen: &Receiver<usize>, matches: usize) {
+        let mut got = 0;
+        while got < matches {
+            got += seen
+                .recv_timeout(PATIENCE)
+                .expect("a pushed event reaches the sink without a barrier");
+        }
+        assert_eq!(got, matches);
+    }
+
+    /// One event, then one small chunk, pushed into an idle runtime
+    /// reach the sink with no barrier call: the ring is empty, so the
+    /// push itself ships them.
+    #[test]
+    fn events_pushed_into_an_idle_runtime_need_no_barrier() {
+        const USERS: i64 = 8;
+        for shards in [1, 4] {
+            let (mut runtime, seen, gate) = probe_runtime(StreamConfig {
+                shards,
+                ..StreamConfig::default()
+            });
+            drop(gate);
+            let opens: Vec<_> = (0..USERS).map(|u| event(0, u, u as u64)).collect();
+            runtime.push_batch(&opens);
+            runtime.flush();
+
+            runtime.push(&event(1, 0, 100));
+            await_matches(&seen, 1);
+            // The match arrived, so user 0's worker has popped that
+            // message: every ring is empty again.
+            let closes: Vec<_> = (1..USERS).map(|u| event(1, u, 100 + u as u64)).collect();
+            runtime.push_batch(&closes);
+            await_matches(&seen, USERS as usize - 1);
+
+            let stats = runtime.finish();
+            let ships = stats.total_ships();
+            assert_eq!(
+                (ships.full, ships.barrier),
+                (0, 0),
+                "W={shards}: every batch left because its ring was empty: {ships:?}"
+            );
+            let batches: u64 = stats.shards.iter().map(|s| s.batches).sum();
+            assert_eq!(ships.idle, batches, "W={shards}: one message per ship");
+            assert!(ships.idle >= 3, "W={shards}: three pushes shipped");
+            assert_eq!(stats.total_events(), 2 * USERS as u64);
+        }
+    }
+
+    /// The converse: while the worker is stuck (here inside the sink)
+    /// and its ring holds a message, pushes keep assembling and only
+    /// full `max_batch` batches ship; producer-side pending never
+    /// exceeds `max_batch`, the ring never exceeds `channel_capacity`,
+    /// and everything drains once the worker moves again.
+    #[test]
+    fn a_busy_worker_is_sent_only_full_batches() {
+        const MAX_BATCH: usize = 8;
+        const CAPACITY: usize = 4;
+        let (mut runtime, seen, gate) = probe_runtime(StreamConfig {
+            shards: 1,
+            channel_capacity: CAPACITY,
+            max_batch: MAX_BATCH,
+            ..StreamConfig::default()
+        });
+        let mut seq = 0u64;
+        let mut filler = |n: usize| -> Vec<Arc<Event>> {
+            (0..n)
+                .map(|_| {
+                    seq += 1;
+                    event(0, 1_000 + seq as i64, 1_000 + seq)
+                })
+                .collect()
+        };
+        let check = |runtime: &ShardedRuntime, pending: usize, queued: usize, ships: [u64; 3]| {
+            assert_eq!(runtime.pending[0].len(), pending, "producer-side pending");
+            assert!(runtime.pending[0].len() < MAX_BATCH);
+            assert_eq!(runtime.workers[0].ring.len(), queued, "ring occupancy");
+            assert!(queued <= CAPACITY);
+            let s = runtime.ships[0];
+            assert_eq!([s.full, s.idle, s.barrier], ships, "full/idle/barrier");
+        };
+
+        runtime.push(&event(0, 0, 0));
+        runtime.flush();
+        runtime.push(&event(1, 0, 1));
+        await_matches(&seen, 1);
+        // The worker now sits inside the sink, its ring empty.
+        check(&runtime, 0, 0, [0, 2, 0]);
+
+        runtime.push_batch(&filler(1));
+        check(&runtime, 0, 1, [0, 3, 0]);
+        for held in 1..=3 {
+            runtime.push_batch(&filler(1));
+            check(&runtime, held, 1, [0, 3, 0]);
+        }
+        runtime.push_batch(&filler(5));
+        check(&runtime, 0, 2, [1, 3, 0]);
+        runtime.push_batch(&filler(2 * MAX_BATCH));
+        check(&runtime, 0, 4, [3, 3, 0]);
+        runtime.push_batch(&filler(MAX_BATCH - 1));
+        check(&runtime, MAX_BATCH - 1, 4, [3, 3, 0]);
+
+        drop(gate);
+        runtime.flush();
+        check(&runtime, 0, 0, [3, 3, 1]);
+        let stats = runtime.finish();
+        assert_eq!(stats.total_events(), 2 + 1 + 3 + 5 + 16 + 7);
+        let ring = stats.shards[0].ring;
+        assert_eq!(ring.occupancy_high_water, CAPACITY);
+        assert_eq!(stats.shards[0].ships.total(), stats.shards[0].batches);
     }
 }

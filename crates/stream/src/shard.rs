@@ -81,7 +81,7 @@ use crate::registry::QueryId;
 use crate::reorder::{Offer, ReorderBuffer};
 use crate::ring::SpscRing;
 use crate::sink::{LateEvent, MatchSink, TaggedMatch};
-use crate::stats::{QueryStats, ShardStats};
+use crate::stats::{QueryStats, ShardStats, ShipStats};
 use crate::telemetry::WorkerTelemetry;
 
 /// Keys visited per control step by the idle-retirement sweep. Bounds
@@ -201,6 +201,14 @@ pub(crate) struct ShardWorker {
     prev_watermark: Timestamp,
     /// Reused buffer of watermark-released events awaiting processing.
     released: Vec<(u64, Arc<Event>)>,
+    /// Watermark values the buffered arrivals of the message in flight
+    /// stepped through, ascending, not yet driven into the engines.
+    /// Replayed between the released events by `drain_and_process`, so
+    /// the engines' clock stops wherever it would have stopped had
+    /// every event arrived as its own message — which makes emission a
+    /// function of the shard's ingest sequence and not of where the
+    /// producer happened to cut its batches.
+    clock_stops: Vec<Timestamp>,
     /// Reused type-discriminator column of the batch in flight (the
     /// pre-filter's input).
     type_col: Vec<EventTypeId>,
@@ -276,6 +284,7 @@ impl ShardWorker {
             stall_batches: 0,
             prev_watermark: 0,
             released: Vec::new(),
+            clock_stops: Vec::new(),
             type_col: Vec::new(),
             mask_col: Vec::new(),
             scratch: Vec::new(),
@@ -569,20 +578,21 @@ impl ShardWorker {
         let t = self.telemetry.timer();
         for r in events {
             let buffer = self.reorder.as_mut().expect("non-passthrough shard");
-            if buffer.offer(r.key, r.source, &r.event) == Offer::Late {
-                let watermark = buffer.watermark();
+            let before = buffer.watermark();
+            let verdict = buffer.offer(r.key, r.source, &r.event);
+            let watermark = buffer.watermark();
+            if watermark != before {
+                self.clock_stops.push(watermark);
+            }
+            if verdict == Offer::Late {
                 self.on_late(r.key, r.source, &r.event, watermark);
-            } else if self
-                .reorder
-                .as_ref()
-                .expect("still buffered")
-                .over_capacity()
-            {
+            } else if buffer.over_capacity() {
                 // Enforce the memory cap per event, not per batch, so
-                // the configured depth is a hard limit. Only the
-                // eviction drain runs here; the engine sweep and sink
-                // delivery are amortized over the batch.
-                self.drain_and_process(false);
+                // the configured depth is a hard limit. The eviction
+                // moves the watermark, and the engines follow it here
+                // as they would at the end of a one-event message.
+                let watermark = self.drain_and_process(false);
+                self.advance_engines(watermark);
             }
         }
         self.telemetry.stage_ingest(t);
@@ -715,20 +725,35 @@ impl ShardWorker {
         self.type_col
             .extend(released.iter().map(|(_, ev)| ev.type_id));
         self.prefilter();
+        let mut stops = std::mem::take(&mut self.clock_stops);
+        let mut next_stop = 0;
         for (i, (key, ev)) in released.iter().enumerate() {
             let (any, mask) = self.mask_col[i];
+            // The watermarks the arrivals stepped through, in their
+            // place: a watermark `w` released exactly the events before
+            // it, so it sits ahead of the first event at or after `w`.
+            while stops.get(next_stop).is_some_and(|&w| w <= ev.timestamp) {
+                self.advance_engines(stops[next_stop]);
+                next_stop += 1;
+            }
             // Fire deadlines the released stream itself proves passed
             // BEFORE this event runs: releases come in `(ts, seq)`
             // order, so `ev.timestamp` is a watermark over everything
-            // still to come. This pins every deadline-held emission to
-            // a position in the per-shard ingest sequence — batch
-            // boundaries (which a crash can cut anywhere) no longer
-            // decide where finalizations land between on-event
-            // emissions, so a recovered replay reproduces the exact
-            // per-shard emit numbering the sink's dedup line needs.
+            // still to come. Together with the replayed stops this pins
+            // every deadline-held emission to a position in the
+            // per-shard ingest sequence — batch boundaries (which load
+            // and a crash can cut anywhere) do not decide where
+            // finalizations land between on-event emissions, so a
+            // recovered replay reproduces the exact per-shard emit
+            // numbering the sink's dedup line needs.
             self.advance_engines(ev.timestamp);
             self.process_one(*key, ev, any, mask);
         }
+        for &w in &stops[next_stop..] {
+            self.advance_engines(w);
+        }
+        stops.clear();
+        self.clock_stops = stops;
         self.telemetry.stage_evaluate(t);
         self.released = released;
         watermark
@@ -1045,6 +1070,8 @@ impl ShardWorker {
             key_migrations,
             telemetry_dropped: self.telemetry.dropped(),
             ring: self.ring.stats(),
+            // Counted by the producer; the collecting barrier fills it.
+            ships: ShipStats::default(),
             profile: self.telemetry.profile_snapshot(),
         }
     }

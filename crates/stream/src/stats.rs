@@ -119,6 +119,45 @@ impl ShardProfile {
     }
 }
 
+/// Why producer-side batches left for one shard's worker, counted on
+/// the ingesting thread — one count per shipped batch.
+///
+/// `full + idle + barrier` is the number of batches the producer
+/// shipped, so `events / total()` is the mean batch size. Below
+/// saturation nearly every ship is `idle` (the worker had nothing
+/// queued, so holding the events would only add latency); at saturation
+/// the ring is never empty and every ship is `full`. The counts belong
+/// to the producer of this runtime incarnation: they restart at zero
+/// after [`recover`](crate::ShardedRuntime::recover), unlike
+/// [`ShardStats::batches`], which the worker checkpoints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShipStats {
+    /// Batches shipped because they reached
+    /// [`max_batch`](crate::StreamConfig::max_batch) — the worker was
+    /// busy for as long as the batch took to fill.
+    pub full: u64,
+    /// Batches shipped at the end of a `push*` call because the shard's
+    /// ring was empty.
+    pub idle: u64,
+    /// Batches shipped by a barrier (flush, stats, watermark,
+    /// checkpoint, finish) ahead of its control message.
+    pub barrier: u64,
+}
+
+impl ShipStats {
+    /// Batches shipped for any reason.
+    pub fn total(&self) -> u64 {
+        self.full + self.idle + self.barrier
+    }
+
+    /// Adds another shard's counts into this one.
+    pub fn merge(&mut self, other: &ShipStats) {
+        self.full += other.full;
+        self.idle += other.idle;
+        self.barrier += other.barrier;
+    }
+}
+
 /// Snapshot of one worker shard.
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
@@ -218,6 +257,10 @@ pub struct ShardStats {
     /// `occupancy_high_water ≤ capacity`) are pinned by the
     /// `stream_determinism` integration test.
     pub ring: RingStats,
+    /// Why the producer shipped this shard's batches when it did (see
+    /// [`ShipStats`]). Counted on the ingesting thread and attached to
+    /// the worker's snapshot by the barrier that collected it.
+    pub ships: ShipStats,
     /// Sampled per-stage profile, when
     /// [`TelemetryConfig::profile_every`](crate::TelemetryConfig) > 0.
     pub profile: Option<Box<ShardProfile>>,
@@ -329,6 +372,17 @@ impl RuntimeStats {
             .sum()
     }
 
+    /// Producer-side batch ships by reason, summed across shards
+    /// (`total_events() / total_ships().total()` is the mean batch
+    /// size).
+    pub fn total_ships(&self) -> ShipStats {
+        let mut total = ShipStats::default();
+        for s in &self.shards {
+            total.merge(&s.ships);
+        }
+        total
+    }
+
     /// Telemetry records dropped by ring overflow across all shards.
     pub fn total_telemetry_dropped(&self) -> u64 {
         self.shards.iter().map(|s| s.telemetry_dropped).sum()
@@ -416,6 +470,8 @@ impl RuntimeStats {
     ///   `acep_ring_consumer_parks_total`,
     ///   `acep_ring_consumer_wakes_total`,
     ///   `acep_ring_occupancy_high_water`
+    /// * per (shard, reason) with `reason` ∈ `full`/`idle`/`barrier`:
+    ///   `acep_batch_ships_total`
     /// * per (shard, source): `acep_reorder_overflow_by_source_total`,
     ///   `acep_source_watermark_ms`, `acep_source_idle`
     /// * merged: `acep_emission_latency_ms` (histogram), and when
@@ -592,6 +648,21 @@ impl RuntimeStats {
                 l(s),
                 s.ring.occupancy_high_water as f64,
             );
+            for (reason, n) in [
+                ("full", s.ships.full),
+                ("idle", s.ships.idle),
+                ("barrier", s.ships.barrier),
+            ] {
+                reg.counter(
+                    "acep_batch_ships_total",
+                    "Producer-side batches shipped, by why they left when they did",
+                    vec![
+                        ("shard", s.shard.to_string()),
+                        ("reason", reason.to_string()),
+                    ],
+                    n,
+                );
+            }
         }
         reg.histogram(
             "acep_emission_latency_ms",
@@ -791,6 +862,11 @@ mod tests {
                         consumer_wakes: 7,
                         occupancy_high_water: 6,
                     },
+                    ships: ShipStats {
+                        full: 1,
+                        idle: 1,
+                        barrier: 0,
+                    },
                     profile: Some(Box::new(ShardProfile {
                         batch_events: latency(&[50]),
                         ..ShardProfile::default()
@@ -829,6 +905,11 @@ mod tests {
                         consumer_wakes: 1,
                         occupancy_high_water: 3,
                     },
+                    ships: ShipStats {
+                        full: 0,
+                        idle: 0,
+                        barrier: 1,
+                    },
                     profile: Some(Box::new(ShardProfile {
                         batch_events: latency(&[60]),
                         ..ShardProfile::default()
@@ -861,6 +942,9 @@ mod tests {
         assert_eq!(stats.key_migrations(QueryId(0)), 4);
         assert_eq!(stats.key_migrations(QueryId(1)), 2);
         assert_eq!(stats.total_telemetry_dropped(), 1);
+        let ships = stats.total_ships();
+        assert_eq!((ships.full, ships.idle, ships.barrier), (1, 1, 1));
+        assert_eq!(ships.total(), 3);
         let lat = stats.emission_latency();
         assert_eq!((lat.count, lat.min, lat.max), (3, 1, 9));
         assert!((lat.mean().unwrap() - 5.0).abs() < 1e-9);
@@ -922,6 +1006,8 @@ mod tests {
             "acep_ring_consumer_parks_total{shard=\"1\"} 2",
             "acep_ring_consumer_wakes_total{shard=\"1\"} 1",
             "acep_ring_occupancy_high_water{shard=\"0\"} 6",
+            "acep_batch_ships_total{shard=\"0\",reason=\"idle\"} 1",
+            "acep_batch_ships_total{shard=\"1\",reason=\"barrier\"} 1",
             "acep_emission_latency_ms_count 3",
             "acep_query_events_total{query=\"0\"} 60",
             "acep_query_matches_total{query=\"0\"} 6",

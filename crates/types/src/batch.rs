@@ -9,6 +9,13 @@
 //! both of channel transfer and of the workers' columnar pre-filtering
 //! (see `acep-engine`'s relevance index).
 //!
+//! How many events a shipped batch holds is decided by the producer,
+//! not here: the runtime ships a shard's batch as soon as that shard's
+//! worker has nothing queued, and lets it grow while the worker is
+//! busy — up to the batch's **cap**, the one bound this type knows.
+//! Below saturation batches are therefore as small as the push calls
+//! that fed them; at saturation every batch leaves at exactly the cap.
+//!
 //! A [`RoutedEvent`] is deliberately flat (key and source travel
 //! *next to* the `Arc<Event>`, not inside it): the worker's type/mask
 //! extraction walks the batch once, and events themselves stay
@@ -34,34 +41,42 @@ pub struct RoutedEvent {
 }
 
 /// A shard-local batch under producer-side assembly: events routed to
-/// one shard, in ingest order, forwarded to the worker as a unit once
-/// the batch fills (or a barrier drains it early).
+/// one shard, in ingest order, forwarded to the worker as a unit.
 ///
-/// The capacity is a *target*, not a hard cap — `push` reports
-/// fullness rather than refusing, so the producer decides when to ship
-/// (normally exactly at `target`).
+/// The cap bounds how far a batch may grow while its worker is busy;
+/// it is not a fill target — the producer may [`take`](Self::take) a
+/// batch at any size. [`push`](Self::push) reports the cap rather than
+/// refusing, and the producer must ship a batch that reports it before
+/// appending again.
 #[derive(Debug)]
 pub struct ShardBatch {
     events: Vec<RoutedEvent>,
-    target: usize,
+    cap: usize,
 }
 
 impl ShardBatch {
-    /// An empty batch that reports full at `target` events. `target`
-    /// must be positive.
-    pub fn with_target(target: usize) -> Self {
-        assert!(target > 0, "batch target must be positive");
+    /// An empty batch that reports full at `cap` events. `cap` must be
+    /// positive.
+    pub fn with_cap(cap: usize) -> Self {
+        assert!(cap > 0, "batch cap must be positive");
         Self {
             events: Vec::new(),
-            target,
+            cap,
         }
     }
 
+    /// [`with_cap`](Self::with_cap) under its former name, which the
+    /// frozen `benchmark/` package still calls.
+    #[doc(hidden)]
+    pub fn with_target(cap: usize) -> Self {
+        Self::with_cap(cap)
+    }
+
     /// Appends one routed event, returning `true` when the batch has
-    /// reached its target and should be shipped.
+    /// reached its cap and must be shipped.
     pub fn push(&mut self, key: u64, source: SourceId, event: Arc<Event>) -> bool {
         self.events.push(RoutedEvent { key, source, event });
-        self.events.len() >= self.target
+        self.events.len() >= self.cap
     }
 
     /// Events currently assembled.
@@ -74,14 +89,15 @@ impl ShardBatch {
         self.events.is_empty()
     }
 
-    /// The fill target this batch ships at.
-    pub fn target(&self) -> usize {
-        self.target
+    /// The most events this batch holds before it must ship.
+    pub fn cap(&self) -> usize {
+        self.cap
     }
 
     /// Takes the assembled events, leaving the batch empty (the
     /// allocation moves out with the events — the next assembly starts
-    /// fresh, so shipped batches own exactly their contents).
+    /// fresh, so shipped batches own exactly their contents, however
+    /// few).
     pub fn take(&mut self) -> Vec<RoutedEvent> {
         std::mem::take(&mut self.events)
     }
@@ -102,14 +118,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_full_at_target() {
-        let mut b = ShardBatch::with_target(3);
+    fn batch_reports_full_at_cap() {
+        let mut b = ShardBatch::with_cap(3);
         assert!(b.is_empty());
         assert!(!b.push(1, SourceId::MERGED, ev(1)));
         assert!(!b.push(2, SourceId(4), ev(2)));
-        assert!(b.push(1, SourceId::MERGED, ev(3)), "full at target");
+        assert!(b.push(1, SourceId::MERGED, ev(3)), "full at the cap");
         assert_eq!(b.len(), 3);
-        assert_eq!(b.target(), 3);
+        assert_eq!(b.cap(), 3);
         let taken = b.take();
         assert_eq!(taken.len(), 3);
         assert_eq!(taken[1].key, 2);
@@ -120,8 +136,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch target must be positive")]
-    fn zero_target_is_rejected() {
-        let _ = ShardBatch::with_target(0);
+    fn a_batch_below_its_cap_ships_with_exactly_its_contents() {
+        let mut b = ShardBatch::with_cap(4_096);
+        b.push(7, SourceId::MERGED, ev(1));
+        let taken = b.take();
+        assert_eq!(taken.len(), 1);
+        assert!(
+            taken.capacity() < 4_096,
+            "a small message must not carry a cap-sized allocation"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch cap must be positive")]
+    fn zero_cap_is_rejected() {
+        let _ = ShardBatch::with_cap(0);
     }
 }

@@ -160,6 +160,8 @@ fn recovery_replays_to_the_uninterrupted_match_multiset() {
     let set = queries(&Scenario::new(DatasetKind::Stocks));
     let cut_checkpoint = events.len() * 3 / 5;
     let cut_crash = events.len() * 4 / 5;
+    /// Events in the partial batches around the checkpoint.
+    const PARTIAL: usize = 37;
 
     for shards in [1usize, 2, 4] {
         let (reference, ref_matches) = run_uninterrupted(&set, &events, shards);
@@ -181,15 +183,32 @@ fn recovery_replays_to_the_uninterrupted_match_multiset() {
             config(shards),
         )
         .unwrap();
-        for chunk in events[..cut_checkpoint].chunks(1_000) {
+        // The checkpoint is taken right behind a partial batch the
+        // push itself shipped (every ring was empty), and the run then
+        // continues with another one — so the original run's batches
+        // are cut where the replay's never are.
+        for chunk in events[..cut_checkpoint - PARTIAL].chunks(1_000) {
             runtime.push_batch(chunk);
         }
+        let quiet = runtime.stats().total_ships();
+        runtime.push_batch(&events[cut_checkpoint - PARTIAL..cut_checkpoint]);
         let cp = runtime.checkpoint(&mut log).expect("healthy checkpoint");
         assert!(cp.bytes > 0, "shard frames must carry state");
         assert_eq!(runtime.events_ingested(), cut_checkpoint as u64);
         // Keep running past the checkpoint, then crash: the sink now
         // holds matches the checkpoint knows nothing about.
-        for chunk in events[cut_checkpoint..cut_crash].chunks(1_000) {
+        runtime.push_batch(&events[cut_checkpoint..cut_checkpoint + PARTIAL]);
+        let shipped = runtime.stats().total_ships();
+        assert!(
+            shipped.idle >= quiet.idle + 2,
+            "both partial batches left with their push: {quiet:?} -> {shipped:?}"
+        );
+        assert_eq!(
+            (shipped.full, shipped.barrier),
+            (quiet.full, quiet.barrier),
+            "neither barrier found anything left to ship"
+        );
+        for chunk in events[cut_checkpoint + PARTIAL..cut_crash].chunks(1_000) {
             runtime.push_batch(chunk);
         }
         runtime.flush();

@@ -167,10 +167,10 @@ fn sharded_runs_are_shard_count_invariant() {
 }
 
 /// Regression test for the producer-side batching barrier contract:
-/// events below the `max_batch` target stay assembled on the producer
-/// side, so `flush()` (and `stats()`, and watermarks) must ship those
-/// in-flight batches *before* signalling the barrier — otherwise the
-/// barrier acknowledges a prefix the workers never saw.
+/// events routed while their shard's ring was non-empty stay assembled
+/// on the producer side, so `flush()` (and `stats()`, and watermarks)
+/// must ship those in-flight batches *before* signalling the barrier —
+/// otherwise the barrier acknowledges a prefix the workers never saw.
 #[test]
 fn flush_ships_producer_side_pending_batches() {
     let scenario = Scenario::new(DatasetKind::Stocks);
@@ -183,8 +183,9 @@ fn flush_ships_producer_side_pending_batches() {
         Arc::clone(&sink) as _,
         StreamConfig {
             shards: 2,
-            // Far above the event count: nothing ever fills a batch,
-            // so only barrier drains can ship them.
+            // Far above the event count: nothing ever fills a batch.
+            // What a push finds an empty ring for ships with the push;
+            // whatever it had to hold, only the barrier's drain ships.
             max_batch: 1 << 20,
             ..StreamConfig::default()
         },
