@@ -1,19 +1,71 @@
 //! Microbenchmarks of the evaluation engines: good vs bad plans on a
 //! skewed stream (the work gap adaptation is supposed to close), and
 //! the steady-state cost of a migrating executor.
+//!
+//! The `compare/*` rows time one `compatible` call — the unit
+//! `engine.comparisons` counts — on a depth-2 partial of the
+//! benchmark's `adapt_order` (`traffic_and5`) and `stocks_hot`
+//! (`stocks_seq3`) patterns, for a candidate that joins (`hit`: window,
+//! chain walk, order and every condition run) and one that does not
+//! (`miss`). A sample is 1000 calls, so the printed µs read as ns per
+//! call; set them beside `core.keyed.ns_per_event × events ÷
+//! engine.comparisons` from a traced benchmark run.
 
 #[path = "common.rs"]
 mod common;
 
 use std::sync::Arc;
 
-use acep_engine::{build_executor, ExecContext, MigratingExecutor};
+use acep_engine::order_exec::compatible;
+use acep_engine::{build_executor, ExecContext, MigratingExecutor, Partial, PartialStore};
 use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreePlan};
+use acep_types::Event;
 use acep_workloads::{DatasetKind, PatternSetKind};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+/// Times `compatible` for extending a depth-2 partial (slots 0 and 1
+/// bound to the first joinable pair of `events`) at slot 2, once with a
+/// candidate that joins and once with one that does not.
+fn bench_compare(c: &mut Criterion, name: &str, ctx: &ExecContext, events: &[Arc<Event>]) {
+    let of_slot = |slot: usize| {
+        events
+            .iter()
+            .filter(move |e| e.type_id == ctx.slot_types[slot])
+    };
+    let mut store = PartialStore::new();
+    let (partial, hit) = of_slot(0)
+        .find_map(|e0| {
+            let seed = Partial::seed(&mut store, 0, Arc::clone(e0));
+            let e1 = of_slot(1).find(|e1| compatible(ctx, &store, &seed, 1, e1, None))?;
+            let partial = seed.extend(&mut store, 1, Arc::clone(e1));
+            let hit = of_slot(2).find(|e2| compatible(ctx, &store, &partial, 2, e2, None))?;
+            Some((partial, hit))
+        })
+        .expect("the stream holds a depth-3 join");
+    let miss = of_slot(2)
+        .find(|e2| !compatible(ctx, &store, &partial, 2, e2, None))
+        .expect("the stream holds a non-joining candidate");
+    for (outcome, cand) in [("hit", hit), ("miss", miss)] {
+        c.bench_function(&format!("micro/engine/compare/{name}/{outcome}"), |b| {
+            b.iter(|| {
+                (0..1000)
+                    .filter(|_| compatible(ctx, &store, &partial, 2, black_box(cand), None))
+                    .count()
+            })
+        });
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let (scenario, events) = common::inputs(DatasetKind::Traffic);
+    let and5 = scenario.pattern(PatternSetKind::Conjunction, 5);
+    let and5_ctx = ExecContext::compile(&and5.canonical().branches[0]).unwrap();
+    bench_compare(c, "traffic_and5", &and5_ctx, &events);
+    let (stocks, stock_events) = common::inputs(DatasetKind::Stocks);
+    let seq3 = stocks.pattern(PatternSetKind::Sequence, 3);
+    let seq3_ctx = ExecContext::compile(&seq3.canonical().branches[0]).unwrap();
+    bench_compare(c, "stocks_seq3", &seq3_ctx, &stock_events);
+
     let pattern = scenario.pattern(PatternSetKind::Sequence, 5);
     let ctx = ExecContext::compile(&pattern.canonical().branches[0]).unwrap();
 

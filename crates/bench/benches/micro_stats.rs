@@ -1,11 +1,14 @@
 //! Microbenchmarks of the statistics substrate: DGIM vs exact counting
 //! (the paper's \[27\] estimator) and selectivity sampling.
+//! `snapshot/traffic_and5` is the benchmark's `stats.snapshot.us` layer
+//! in isolation: one snapshot of the `adapt_order` pattern under the
+//! default `StatsConfig`.
 
 #[path = "common.rs"]
 mod common;
 
 use acep_stats::{DgimRateEstimator, ExactRateEstimator, RateEstimator, SelectivityEstimator};
-use acep_types::{attr, EventTypeId, VarId};
+use acep_types::{attr, EventTypeId, Programs, VarId};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -44,9 +47,10 @@ fn bench(c: &mut Criterion) {
                 vec![acep_types::Value::Int((i * 7 % 48) as i64)],
             ));
         }
-        let pred = attr(0, 0).lt(attr(1, 0));
+        let mut conds = Programs::default();
+        conds.push_group(&[attr(0, 0).lt(attr(1, 0))], &[VarId(0), VarId(1)]);
         let est = SelectivityEstimator::new(300);
-        b.iter(|| black_box(est.pair(&[&pred], VarId(0), &a, VarId(1), &s2)))
+        b.iter(|| black_box(est.pair(&conds, 0, &a, &s2)))
     });
     c.bench_function("micro/stats/collector_snapshot", |b| {
         let (scenario, events) = common::inputs(acep_workloads::DatasetKind::Traffic);
@@ -55,6 +59,20 @@ fn bench(c: &mut Criterion) {
             scenario.num_types(),
             pattern.canonical(),
             &common::harness().stats_config(),
+        );
+        for ev in &events {
+            collector.observe(ev);
+        }
+        let now = events.last().unwrap().timestamp;
+        b.iter(|| black_box(collector.snapshot_branch(0, now)))
+    });
+    c.bench_function("micro/stats/snapshot/traffic_and5", |b| {
+        let (scenario, events) = common::inputs(acep_workloads::DatasetKind::Traffic);
+        let pattern = scenario.pattern(acep_workloads::PatternSetKind::Conjunction, 5);
+        let mut collector = acep_stats::StatisticsCollector::new(
+            scenario.num_types(),
+            pattern.canonical(),
+            &acep_stats::StatsConfig::default(),
         );
         for ev in &events {
             collector.observe(ev);

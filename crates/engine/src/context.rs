@@ -1,18 +1,41 @@
 //! Compiled execution context: a [`SubPattern`] preprocessed for the hot
 //! path.
+//!
+//! Compilation lowers every condition of the branch **once** into one
+//! [`Programs`] table (see [`acep_types::program`]) — a flat op vector
+//! plus an offset table, with variables resolved to frame positions and
+//! attributes to indices. Its groups, in order:
+//!
+//! * `slot` (`0..n`) — the unary conditions of a slot, over the frame
+//!   `(candidate)`;
+//! * `n + lo * n + hi` for `lo < hi` — the conditions between two
+//!   positive slots, over the frame `(event at lo, event at hi)`; one
+//!   program serves both join directions ([`ExecContext::pair_ok`]
+//!   orients the two events);
+//! * one group per condition over 3+ variables
+//!   ([`ExecContext::general_groups`]) and one per negation guard
+//!   ([`NegGuard::conds`]), over the slot-indexed frame of a completed
+//!   combination with the negated candidate at position `n` — the only
+//!   conditions that need more than the two events they compare.
+//!
+//! Everything that tests a condition — the three executors' join
+//! helpers, the finalizer, the selection-policy filters — goes through
+//! the methods below, so there is exactly one evaluator. The table is
+//! all an `ExecContext` keeps of the predicates, which matters wherever
+//! engines (hence contexts) are built per partition key: context bytes
+//! are multiplied by the key count.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use acep_types::{
-    AcepError, CondVars, Event, EventBinding, EventTypeId, Predicate, SelectionPolicy, SubKind,
-    SubPattern, Timestamp, VarId,
+    AcepError, CondVars, Event, EventTypeId, Programs, SelectionPolicy, SubKind, SubPattern,
+    Timestamp, VarId,
 };
 
 /// A negated-event guard compiled for execution.
 #[derive(Debug, Clone)]
 pub struct NegGuard {
-    /// Variable of the negated event (for condition binding).
-    pub var: VarId,
     /// Event type that must be absent.
     pub event_type: EventTypeId,
     /// Positive slot that must precede the negated event (`None` =
@@ -21,10 +44,11 @@ pub struct NegGuard {
     /// Positive slot that must follow it (`None` = bounded by the window
     /// end; such guards delay match finalization).
     pub before_slot: Option<usize>,
-    /// Conditions involving the negated variable (and possibly positive
-    /// variables); the negated event only invalidates a match if all of
-    /// them hold.
-    pub conditions: Vec<Predicate>,
+    /// Program group of the conditions involving the negated variable
+    /// (and possibly positive variables); the negated event only
+    /// invalidates a match if all of them hold
+    /// ([`ExecContext::slots_ok`]).
+    pub conds: usize,
 }
 
 /// Preprocessed sub-pattern shared by the executors.
@@ -42,12 +66,12 @@ pub struct ExecContext {
     pub vars: Vec<VarId>,
     /// Match window (ms).
     pub window: Timestamp,
-    /// Unary predicates per slot.
-    pub unary: Vec<Vec<Predicate>>,
-    /// Pairwise predicates; index `i * n + j` (both orders filled).
-    pub pair: Vec<Vec<Predicate>>,
-    /// Conditions over 3+ variables, checked on complete matches.
-    pub general: Vec<Predicate>,
+    /// Every condition of the branch, compiled (group layout: module
+    /// docs).
+    conds: Programs,
+    /// Groups of the conditions over 3+ positive variables, checked on
+    /// complete matches.
+    general: Range<usize>,
     /// Negated-event guards.
     pub negated: Vec<NegGuard>,
     /// Slot indices that participate in joins (non-Kleene).
@@ -87,55 +111,50 @@ impl ExecContext {
             ));
         }
 
-        let mut unary: Vec<Vec<Predicate>> = vec![Vec::new(); n];
-        let mut pair: Vec<Vec<Predicate>> = vec![Vec::new(); n * n];
-        let mut general: Vec<Predicate> = Vec::new();
-        for c in &sub.conditions {
-            match &c.vars {
-                CondVars::Unary(v) => {
-                    if let Some(i) = sub.slot_of_var(*v) {
-                        unary[i].push(c.predicate.clone());
-                    }
-                    // Unary conditions on negated vars are attached to
-                    // the guard below.
+        let mut conds = Programs::default();
+        for i in 0..n {
+            conds.push_group(sub.unary_conditions(i).map(|c| &c.predicate), &vars[i..=i]);
+        }
+        for lo in 0..n {
+            for hi in 0..n {
+                if lo < hi && kleene[lo] && kleene[hi] && sub.pair_has_condition(lo, hi) {
+                    return Err(AcepError::InvalidPattern(
+                        "predicates between two Kleene variables are not supported".into(),
+                    ));
                 }
-                CondVars::Binary(a, b) => {
-                    // Conditions touching a negated var go to its guard
-                    // below; only positive-positive pairs land here.
-                    if let (Some(i), Some(j)) = (sub.slot_of_var(*a), sub.slot_of_var(*b)) {
-                        if kleene[i] && kleene[j] {
-                            return Err(AcepError::InvalidPattern(
-                                "predicates between two Kleene variables are not supported".into(),
-                            ));
-                        }
-                        pair[i * n + j].push(c.predicate.clone());
-                        pair[j * n + i].push(c.predicate.clone());
-                    }
-                }
-                CondVars::General(vs) => {
-                    let touches_negated =
-                        vs.iter().any(|v| sub.negated.iter().any(|ng| ng.var == *v));
-                    if !touches_negated {
-                        general.push(c.predicate.clone());
-                    }
-                }
+                // Only `lo < hi` carries conditions (the rest stay empty
+                // so that `pair_group` indexes directly), and only those
+                // between two positive slots: a condition touching a
+                // negated var goes to its guard below.
+                let between = (lo < hi).then(|| sub.binary_conditions(lo, hi));
+                let between = between.into_iter().flatten().map(|c| &c.predicate);
+                conds.push_group(between, &[vars[lo], vars[hi]]);
             }
         }
+        let is_negated = |v: &VarId| sub.negated.iter().any(|ng| ng.var == *v);
+        let general_start = conds.len();
+        for c in sub.general_conditions() {
+            if matches!(&c.vars, CondVars::General(vs) if !vs.iter().any(is_negated)) {
+                conds.push_group([&c.predicate], &vars);
+            }
+        }
+        let general = general_start..conds.len();
 
         let negated = sub
             .negated
             .iter()
-            .map(|ng| NegGuard {
-                var: ng.var,
-                event_type: ng.event_type,
-                after_slot: ng.after_slot,
-                before_slot: ng.before_slot,
-                conditions: sub
-                    .conditions_on_negated(ng.var)
-                    .map(|c| c.predicate.clone())
-                    .collect(),
+            .map(|ng| {
+                let frame: Vec<VarId> = vars.iter().copied().chain([ng.var]).collect();
+                let on_guard = sub.conditions_on_negated(ng.var);
+                NegGuard {
+                    event_type: ng.event_type,
+                    after_slot: ng.after_slot,
+                    before_slot: ng.before_slot,
+                    conds: conds.push_group(on_guard.map(|c| &c.predicate), &frame),
+                }
             })
             .collect();
+        conds.shrink_to_fit();
 
         Ok(Arc::new(Self {
             kind: sub.kind,
@@ -144,8 +163,7 @@ impl ExecContext {
             kleene,
             vars,
             window: sub.window,
-            unary,
-            pair,
+            conds,
             general,
             negated,
             join_slots,
@@ -154,10 +172,61 @@ impl ExecContext {
         }))
     }
 
-    /// Pairwise predicates between slots `i` and `j`.
+    /// Do the unary conditions of `slot` hold for `ev`?
     #[inline]
-    pub fn pair_preds(&self, i: usize, j: usize) -> &[Predicate] {
-        &self.pair[i * self.n + j]
+    pub fn unary_ok(&self, slot: usize, ev: &Event) -> bool {
+        self.conds.holds_pair(slot, ev, ev)
+    }
+
+    /// Program group of the conditions between slots `i` and `j`.
+    #[inline]
+    fn pair_group(&self, i: usize, j: usize) -> usize {
+        self.n + i.min(j) * self.n + i.max(j)
+    }
+
+    /// True if any condition links slots `i` and `j`.
+    #[inline]
+    pub fn has_pair(&self, i: usize, j: usize) -> bool {
+        !self.conds.group_is_empty(self.pair_group(i, j))
+    }
+
+    /// Do the conditions between slots `i` and `j` hold with `a` bound
+    /// at `i` and `b` at `j`?
+    #[inline]
+    pub fn pair_ok(&self, i: usize, a: &Event, j: usize, b: &Event) -> bool {
+        let (lo, hi) = if i < j { (a, b) } else { (b, a) };
+        self.conds.holds_pair(self.pair_group(i, j), lo, hi)
+    }
+
+    /// [`pair_ok`](Self::pair_ok) plus, for sequences, the temporal
+    /// order the two slots impose: may `a` at `i` and `b` at `j` be
+    /// part of one match?
+    #[inline]
+    pub fn joinable(&self, i: usize, a: &Event, j: usize, b: &Event) -> bool {
+        let ordered = if i < j {
+            Self::before(a, b)
+        } else {
+            Self::before(b, a)
+        };
+        (self.kind != SubKind::Sequence || ordered) && self.pair_ok(i, a, j, b)
+    }
+
+    /// Groups of the conditions over 3+ variables, one per condition.
+    pub fn general_groups(&self) -> Range<usize> {
+        self.general.clone()
+    }
+
+    /// Does `group` (a general or guard group) hold over the
+    /// slot-indexed `events` of a completed combination, with `extra`
+    /// (the negated candidate) at position `n`?
+    pub fn slots_ok(
+        &self,
+        group: usize,
+        events: &[Option<Arc<Event>>],
+        extra: Option<&Event>,
+    ) -> bool {
+        self.conds
+            .holds(group, |pos| events.get(pos).map_or(extra, |e| e.as_deref()))
     }
 
     /// Nearest non-Kleene slot strictly before `slot` in pattern order.
@@ -176,29 +245,6 @@ impl ExecContext {
     #[inline]
     pub fn before(a: &Event, b: &Event) -> bool {
         (a.timestamp, a.seq) < (b.timestamp, b.seq)
-    }
-}
-
-/// Binding of a partial match's slot events plus one extra candidate,
-/// used to evaluate predicates without allocating.
-pub struct PartialBinding<'a> {
-    /// Execution context (for var → slot resolution).
-    pub ctx: &'a ExecContext,
-    /// Bound events by slot index.
-    pub events: &'a [Option<Arc<Event>>],
-    /// Extra binding overriding/extending the slots (candidate event).
-    pub extra: Option<(VarId, &'a Event)>,
-}
-
-impl EventBinding for PartialBinding<'_> {
-    fn resolve(&self, var: VarId) -> Option<&Event> {
-        if let Some((v, e)) = &self.extra {
-            if *v == var {
-                return Some(e);
-            }
-        }
-        let slot = self.ctx.vars.iter().position(|v| *v == var)?;
-        self.events[slot].as_deref()
     }
 }
 
@@ -271,10 +317,13 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
-        assert_eq!(ctx.pair_preds(0, 1).len(), 1);
-        assert_eq!(ctx.pair_preds(1, 0).len(), 1);
-        assert_eq!(ctx.unary[1].len(), 1);
-        assert!(ctx.unary[0].is_empty());
+        assert!(ctx.has_pair(0, 1) && ctx.has_pair(1, 0));
+        let ev = |v: i64| Event::new(t(0), 0, 0, vec![acep_types::Value::Int(v)]);
+        // Either join direction runs the one compiled a.x < b.x.
+        assert!(ctx.pair_ok(0, &ev(1), 1, &ev(3)) && ctx.pair_ok(1, &ev(3), 0, &ev(1)));
+        assert!(!ctx.pair_ok(0, &ev(3), 1, &ev(1)) && !ctx.pair_ok(1, &ev(1), 0, &ev(3)));
+        assert!(ctx.unary_ok(1, &ev(3)) && !ctx.unary_ok(1, &ev(2)));
+        assert!(ctx.unary_ok(0, &ev(2)), "slot 0 has no unary condition");
     }
 
     #[test]
@@ -291,11 +340,15 @@ mod tests {
             .unwrap();
         let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
         assert_eq!(ctx.negated.len(), 1);
-        assert_eq!(ctx.negated[0].conditions.len(), 1);
+        let x7 = || vec![acep_types::Value::Int(7)];
+        let (a, b) = (Event::new(t(0), 0, 0, x7()), Event::new(t(1), 1, 1, x7()));
+        let bound = [Some(a), None];
+        assert!(ctx.slots_ok(ctx.negated[0].conds, &bound, Some(&b)));
+        assert!(!ctx.slots_ok(ctx.negated[0].conds, &[None, None], Some(&b)));
         assert_eq!(ctx.negated[0].after_slot, Some(0));
         assert_eq!(ctx.negated[0].before_slot, Some(1));
         // The A=B condition must not leak into the positive pair preds.
-        assert!(ctx.pair_preds(0, 1).is_empty());
+        assert!(!ctx.has_pair(0, 1));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use acep_checkpoint::{BufferRec, CheckpointError, EventMap, EventTable, Finalize
 use acep_types::{Event, SubKind, Timestamp};
 
 use crate::buffer::EventBuffer;
-use crate::context::{ExecContext, NegGuard, PartialBinding};
+use crate::context::{ExecContext, NegGuard};
 use crate::matches::Match;
 use crate::selection::{self, SeenRef, SharedSeen};
 
@@ -77,11 +77,6 @@ impl Completed {
             min_ts: p.min_ts,
             max_ts: p.max_ts,
         }
-    }
-
-    /// True if the given event instance is one of the bound join events.
-    fn contains_seq(&self, seq: u64) -> bool {
-        self.events.iter().flatten().any(|e| e.seq == seq)
     }
 }
 
@@ -397,14 +392,9 @@ impl Finalizer {
     /// pending queue.
     pub fn admit(&mut self, completed: Completed, now: Timestamp, out: &mut Vec<Match>) {
         // Conditions over 3+ variables.
-        for p in &self.ctx.general {
+        for group in self.ctx.general_groups() {
             self.comparisons += 1;
-            let binding = PartialBinding {
-                ctx: &self.ctx,
-                events: &completed.events,
-                extra: None,
-            };
-            if !p.eval(&binding) {
+            if !self.ctx.slots_ok(group, &completed.events, None) {
                 return;
             }
         }
@@ -427,7 +417,6 @@ impl Finalizer {
                     set.push(Arc::clone(ev));
                 }
             }
-            let _ = ki;
             kleene_sets.push(set);
         }
 
@@ -572,13 +561,8 @@ fn neg_invalidates(
             }
         }
     }
-    // Predicates involving the negated variable.
-    let binding = PartialBinding {
-        ctx,
-        events: &completed.events,
-        extra: Some((guard.var, ev)),
-    };
-    guard.conditions.iter().all(|p| p.eval(&binding))
+    // Conditions involving the negated variable.
+    ctx.slots_ok(guard.conds, &completed.events, Some(ev))
 }
 
 /// Is `ev` a qualifying member of the Kleene set at `slot` for a match
@@ -589,51 +573,32 @@ fn kleene_compatible(
     completed: &Completed,
     ev: &Arc<Event>,
 ) -> bool {
-    // The same event instance cannot double as a join event.
-    if completed.contains_seq(ev.seq) {
-        return false;
-    }
     // Window span.
     if ev.timestamp > completed.min_ts + ctx.window
         || ev.timestamp < completed.max_ts.saturating_sub(ctx.window)
     {
         return false;
     }
+    let bound = |js: usize| completed.events[js].as_ref().expect("bound join slot");
     // Temporal position for sequences.
-    if ctx.kind == SubKind::Sequence {
-        if let Some(prev) = ctx.prev_join_slot(slot) {
-            let anchor = completed.events[prev].as_ref().expect("bound join slot");
-            if !ExecContext::before(anchor, ev) {
-                return false;
-            }
-        }
-        if let Some(next) = ctx.next_join_slot(slot) {
-            let anchor = completed.events[next].as_ref().expect("bound join slot");
-            if !ExecContext::before(ev, anchor) {
-                return false;
-            }
-        }
+    if ctx.kind == SubKind::Sequence
+        && (ctx
+            .prev_join_slot(slot)
+            .is_some_and(|prev| !ExecContext::before(bound(prev), ev))
+            || ctx
+                .next_join_slot(slot)
+                .is_some_and(|next| !ExecContext::before(ev, bound(next))))
+    {
+        return false;
     }
-    // Unary predicates on the Kleene slot.
-    let binding = PartialBinding {
-        ctx,
-        events: &completed.events,
-        extra: Some((ctx.vars[slot], ev)),
-    };
-    for p in &ctx.unary[slot] {
-        if !p.eval(&binding) {
-            return false;
-        }
-    }
-    // Pairwise predicates with bound join slots.
-    for &js in &ctx.join_slots {
-        for p in ctx.pair_preds(slot, js) {
-            if !p.eval(&binding) {
-                return false;
-            }
-        }
-    }
-    true
+    // One pass over the bound join events: the same event instance
+    // cannot double as a join event, and the pairwise conditions with
+    // each must hold.
+    ctx.unary_ok(slot, ev)
+        && ctx
+            .join_slots
+            .iter()
+            .all(|&js| bound(js).seq != ev.seq && ctx.pair_ok(slot, ev, js, bound(js)))
 }
 
 #[cfg(test)]

@@ -37,12 +37,12 @@
 //!   [`partial_count`](Executor::partial_count) is the trigger count.
 //!
 //! Each match is generated exactly once: a chain binds `order[0]` to a
-//! unique trigger event, and `contains_seq` prevents event reuse within
-//! a chain. Emission (admission checks, selection-policy validation,
-//! negation, Kleene collection) reuses the identical [`Finalizer`] and
-//! `compatible` machinery as the eager executors, so the emitted match
-//! multiset is bit-identical — only `detected_at` moves to the window
-//! close, which the match key deliberately excludes.
+//! unique trigger event, and `compatible` rejects a candidate already
+//! bound in the chain. Emission (admission checks, selection-policy
+//! validation, negation, Kleene collection) reuses the identical
+//! [`Finalizer`] and `compatible` machinery as the eager executors, so
+//! the emitted match multiset is bit-identical — only `detected_at`
+//! moves to the window close, which the match key deliberately excludes.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -56,7 +56,7 @@ use crate::context::ExecContext;
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
 use crate::matches::Match;
-use crate::order_exec::{compatible, unary_ok};
+use crate::order_exec::compatible;
 use crate::partial::{Partial, PartialStore};
 use crate::selection::SharedSeen;
 
@@ -238,7 +238,7 @@ impl Executor for LazyExecutor {
         }
         if positions.first() == Some(&0) {
             self.comparisons += 1;
-            if unary_ok(&self.ctx, &self.store, self.join_order[0], ev) {
+            if self.ctx.unary_ok(self.join_order[0], ev) {
                 self.triggers.push_back(Trigger {
                     ev: Arc::clone(ev),
                     deadline: now + self.ctx.window,

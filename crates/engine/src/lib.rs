@@ -56,14 +56,14 @@ pub mod tree_exec;
 
 pub use buffer::EventBuffer;
 pub use composite::StaticEngine;
-pub use context::{ExecContext, NegGuard, PartialBinding};
+pub use context::{ExecContext, NegGuard};
 pub use executor::{build_executor, restore_executor, Executor};
 pub use finalize::{Completed, Finalizer, FinalizerHistory};
 pub use lazy_exec::LazyExecutor;
 pub use matches::{Match, MatchKey};
 pub use migration::MigratingExecutor;
 pub use order_exec::OrderExecutor;
-pub use partial::{ChainBinding, Partial, PartialStore};
+pub use partial::{Partial, PartialStore};
 pub use relevance::{QueryMask, RelevanceIndex};
 pub use selection::{SeenLog, SeenRef, SharedSeen};
 pub use tree_exec::TreeExecutor;

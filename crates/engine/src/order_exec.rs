@@ -23,14 +23,14 @@ use acep_checkpoint::{
 };
 use acep_plan::OrderPlan;
 use acep_types::faultpoint::{self, FaultPoint};
-use acep_types::{Event, SubKind, Timestamp};
+use acep_types::{Event, Timestamp};
 
 use crate::buffer::EventBuffer;
 use crate::context::ExecContext;
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
 use crate::matches::Match;
-use crate::partial::{ChainBinding, Partial, PartialStore};
+use crate::partial::{Partial, PartialStore};
 use crate::selection::{prune_extension, SeenLog};
 
 /// How many events between full expiry sweeps of untouched levels.
@@ -146,7 +146,7 @@ impl OrderExecutor {
         let slot = self.join_order[pos];
         if pos == 0 {
             self.comparisons += 1;
-            if unary_ok(&self.ctx, &self.store, slot, ev) {
+            if self.ctx.unary_ok(slot, ev) {
                 let seed = Partial::seed(&mut self.store, slot, Arc::clone(ev));
                 self.cascade_stack.push((seed, 1));
                 self.run_cascade(now, out);
@@ -306,24 +306,11 @@ impl Executor for OrderExecutor {
     }
 }
 
-/// Unary predicates on `slot` hold for `ev`.
-pub(crate) fn unary_ok(
-    ctx: &ExecContext,
-    store: &PartialStore,
-    slot: usize,
-    ev: &Arc<Event>,
-) -> bool {
-    if ctx.unary[slot].is_empty() {
-        return true;
-    }
-    let binding = ChainBinding::empty(ctx, store, Some((ctx.vars[slot], ev)));
-    ctx.unary[slot].iter().all(|p| p.eval(&binding))
-}
-
 /// Full compatibility check for extending `partial` with `ev` at `slot`.
 /// `seen` (present only under restrictive selection policies) enables
-/// conservative policy pruning of the extension cascade.
-pub(crate) fn compatible(
+/// conservative policy pruning of the extension cascade. This is the
+/// unit the engines' `comparisons()` counter counts.
+pub fn compatible(
     ctx: &ExecContext,
     store: &PartialStore,
     partial: &Partial,
@@ -331,51 +318,24 @@ pub(crate) fn compatible(
     ev: &Arc<Event>,
     seen: Option<&SeenLog>,
 ) -> bool {
-    if partial.contains_seq(store, ev.seq) {
-        return false;
-    }
     // Window span.
     let min_ts = partial.min_ts.min(ev.timestamp);
     let max_ts = partial.max_ts.max(ev.timestamp);
-    if max_ts - min_ts > ctx.window {
+    if max_ts - min_ts > ctx.window || !ctx.unary_ok(slot, ev) {
         return false;
     }
-    // Temporal order for sequences.
-    if ctx.kind == SubKind::Sequence {
-        for (s, b) in partial.chain(store) {
-            let ok = if s < slot {
-                ExecContext::before(b, ev)
-            } else {
-                ExecContext::before(ev, b)
-            };
-            if !ok {
-                return false;
-            }
-        }
-    }
-    // Unary predicates on the new slot.
-    let binding = ChainBinding::new(ctx, store, partial, Some((ctx.vars[slot], ev)));
-    for p in &ctx.unary[slot] {
-        if !p.eval(&binding) {
-            return false;
-        }
-    }
-    // Pairwise predicates with every bound slot.
-    for (s, _) in partial.chain(store) {
-        for p in ctx.pair_preds(slot, s) {
-            if !p.eval(&binding) {
-                return false;
-            }
-        }
+    // One walk over the chain: the candidate is not already bound, and
+    // against every bound event it respects the temporal order (for
+    // sequences) and the pairwise conditions.
+    if !partial
+        .chain(store)
+        .all(|(s, b)| b.seq != ev.seq && ctx.joinable(slot, ev, s, b))
+    {
+        return false;
     }
     // Selection-policy pruning: drop extensions every completion of
     // which would fail emit-time validation.
-    if let Some(seen) = seen {
-        if prune_extension(ctx, seen, store, partial, slot, ev) {
-            return false;
-        }
-    }
-    true
+    !seen.is_some_and(|seen| prune_extension(ctx, seen, store, partial, slot, ev))
 }
 
 #[cfg(test)]

@@ -22,9 +22,7 @@
 
 use std::sync::Arc;
 
-use acep_types::{Event, EventBinding, Timestamp, VarId};
-
-use crate::context::ExecContext;
+use acep_types::{Event, Timestamp};
 
 /// Sentinel parent index: end of a binding chain.
 const NONE: u32 = u32::MAX;
@@ -176,9 +174,9 @@ impl<'a> Iterator for Chain<'a> {
 /// consequence, so none of them may be weakened independently:
 ///
 /// * a chain holds exactly the `bound` join events, so every chain walk
-///   — [`Partial::event_at`], [`Partial::contains_seq`],
-///   [`ChainBinding`]'s `resolve` — is O(join slots), independent of
-///   how many events a Kleene slot has collected;
+///   — [`Partial::event_at`], [`Partial::contains_seq`], the join
+///   helpers' one-pass compatibility checks — is O(join slots),
+///   independent of how many events a Kleene slot has collected;
 /// * [`Partial::contains_seq`] answers membership of *join* events
 ///   only. Duplicate suppression for Kleene-collected events is the
 ///   finalizer's job, not the arena's;
@@ -343,76 +341,6 @@ impl Partial {
     }
 }
 
-/// Binding of a partial's chained slot events plus one extra candidate,
-/// used to evaluate predicates without materializing. The tree
-/// executor's joins resolve over two chains (`a` then `b`).
-pub struct ChainBinding<'a> {
-    /// Execution context (for var → slot resolution).
-    pub ctx: &'a ExecContext,
-    /// The arena holding the chains.
-    pub store: &'a PartialStore,
-    /// Chain heads to resolve against, in order.
-    heads: [u32; 2],
-    /// Extra binding overriding/extending the chains (candidate event).
-    pub extra: Option<(VarId, &'a Event)>,
-}
-
-impl<'a> ChainBinding<'a> {
-    /// Binding over one partial's chain.
-    pub fn new(
-        ctx: &'a ExecContext,
-        store: &'a PartialStore,
-        partial: &Partial,
-        extra: Option<(VarId, &'a Event)>,
-    ) -> Self {
-        Self {
-            ctx,
-            store,
-            heads: [partial.head, NONE],
-            extra,
-        }
-    }
-
-    /// Binding with no bound slots (candidate-only, e.g. unary checks).
-    pub fn empty(
-        ctx: &'a ExecContext,
-        store: &'a PartialStore,
-        extra: Option<(VarId, &'a Event)>,
-    ) -> Self {
-        Self {
-            ctx,
-            store,
-            heads: [NONE, NONE],
-            extra,
-        }
-    }
-
-    /// Binding over the union of two partials, without merging them.
-    pub fn merged(ctx: &'a ExecContext, store: &'a PartialStore, a: &Partial, b: &Partial) -> Self {
-        Self {
-            ctx,
-            store,
-            heads: [a.head, b.head],
-            extra: None,
-        }
-    }
-}
-
-impl EventBinding for ChainBinding<'_> {
-    fn resolve(&self, var: VarId) -> Option<&Event> {
-        if let Some((v, e)) = &self.extra {
-            if *v == var {
-                return Some(e);
-            }
-        }
-        let slot = self.ctx.vars.iter().position(|v| *v == var)?;
-        self.heads
-            .iter()
-            .find_map(|&h| self.store.event_at(h, slot))
-            .map(Arc::as_ref)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,6 +463,7 @@ mod tests {
     #[test]
     fn kleene_collection_never_allocates_arena_nodes() {
         use crate::composite::StaticEngine;
+        use crate::context::ExecContext;
         use acep_types::{Pattern, PatternExpr};
 
         let pattern = Pattern::builder("k3")

@@ -48,9 +48,9 @@ use std::sync::{Arc, Mutex};
 
 use acep_types::{Event, SelectionPolicy, SubKind, Timestamp};
 
-use crate::context::{ExecContext, PartialBinding};
+use crate::context::ExecContext;
 use crate::finalize::Completed;
-use crate::partial::{ChainBinding, Partial, PartialStore};
+use crate::partial::{Partial, PartialStore};
 
 /// Stream-order key: the same `(timestamp, seq)` order as
 /// [`ExecContext::before`].
@@ -387,23 +387,12 @@ fn qualifies(
     bound: &[usize],
     g: &Arc<Event>,
 ) -> bool {
-    if g.type_id != ctx.slot_types[slot] {
-        return false;
-    }
-    let binding = PartialBinding {
-        ctx,
-        events,
-        extra: Some((ctx.vars[slot], g.as_ref())),
-    };
-    if !ctx.unary[slot].iter().all(|p| p.eval(&binding)) {
-        return false;
-    }
-    for &bs in bound {
-        if !ctx.pair_preds(slot, bs).iter().all(|p| p.eval(&binding)) {
-            return false;
-        }
-    }
-    true
+    g.type_id == ctx.slot_types[slot]
+        && ctx.unary_ok(slot, g)
+        && bound.iter().all(|&bs| {
+            let b = events[bs].as_ref().expect("join slot bound");
+            ctx.pair_ok(slot, g, bs, b)
+        })
 }
 
 /// Conservative hot-path filter for the order executor: may `partial`
@@ -457,18 +446,8 @@ pub fn prune_extension(
             if !pred_bearing_prefix_bound(ctx, slot, |js| partial.event_at(store, js).is_some()) {
                 return false;
             }
-            let lo = stream_key(prev);
-            for g in seen.between(lo, stream_key(ev)) {
-                if g.type_id != ctx.slot_types[slot] || partial.contains_seq(store, g.seq) {
-                    continue;
-                }
-                let binding =
-                    ChainBinding::new(ctx, store, partial, Some((ctx.vars[slot], g.as_ref())));
-                if chain_qualifies(ctx, slot, &binding) {
-                    return true;
-                }
-            }
-            false
+            seen.between(stream_key(prev), stream_key(ev))
+                .any(|g| chain_qualifies(ctx, slot, g, partial.chain(store)))
         }
     }
 }
@@ -533,18 +512,11 @@ fn prune_next_cross(
         }) {
             continue;
         }
-        for g in seen.between(stream_key(ea), stream_key(eb)) {
-            if g.type_id != ctx.slot_types[t]
-                || a.contains_seq(store, g.seq)
-                || b.contains_seq(store, g.seq)
-            {
-                continue;
-            }
-            let mut binding = ChainBinding::merged(ctx, store, a, b);
-            binding.extra = Some((ctx.vars[t], g.as_ref()));
-            if chain_qualifies(ctx, t, &binding) {
-                return true;
-            }
+        if seen
+            .between(stream_key(ea), stream_key(eb))
+            .any(|g| chain_qualifies(ctx, t, g, a.chain(store).chain(b.chain(store))))
+        {
+            return true;
         }
     }
     false
@@ -562,20 +534,23 @@ fn pred_bearing_prefix_bound(
         .iter()
         .copied()
         .take_while(|&js| js < slot)
-        .all(|js| ctx.pair_preds(slot, js).is_empty() || is_bound(js))
+        .all(|js| !ctx.has_pair(slot, js) || is_bound(js))
 }
 
-/// [`qualifies`] over a chain binding whose `extra` holds the breaker
-/// candidate at `slot`.
-fn chain_qualifies(ctx: &ExecContext, slot: usize, binding: &ChainBinding<'_>) -> bool {
-    if !ctx.unary[slot].iter().all(|p| p.eval(binding)) {
-        return false;
-    }
-    ctx.join_slots
-        .iter()
-        .copied()
-        .take_while(|&js| js < slot)
-        .all(|js| ctx.pair_preds(slot, js).iter().all(|p| p.eval(binding)))
+/// [`qualifies`] for the hot-path filters: is `g` a skipped non-member
+/// that could have filled join `slot` given the join events bound so
+/// far? One walk over `chain` (the bindings of the partial, or of both
+/// join sides) checks membership and the pairwise conditions against
+/// every earlier slot.
+fn chain_qualifies<'a>(
+    ctx: &ExecContext,
+    slot: usize,
+    g: &Event,
+    mut chain: impl Iterator<Item = (usize, &'a Arc<Event>)>,
+) -> bool {
+    g.type_id == ctx.slot_types[slot]
+        && ctx.unary_ok(slot, g)
+        && chain.all(|(s, b)| b.seq != g.seq && (s >= slot || ctx.pair_ok(slot, g, s, b)))
 }
 
 #[cfg(test)]

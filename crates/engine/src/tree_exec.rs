@@ -18,13 +18,13 @@ use std::sync::Arc;
 use acep_checkpoint::{CheckpointError, EventMap, EventTable, ExecutorRec, TreeExecRec};
 use acep_plan::{TreeNode, TreePlan};
 use acep_types::faultpoint::{self, FaultPoint};
-use acep_types::{Event, SubKind, Timestamp};
+use acep_types::{Event, Timestamp};
 
 use crate::context::ExecContext;
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
 use crate::matches::Match;
-use crate::partial::{ChainBinding, Partial, PartialStore};
+use crate::partial::{Partial, PartialStore};
 use crate::selection::{prune_join, SeenLog};
 
 const SWEEP_INTERVAL: u32 = 256;
@@ -184,7 +184,7 @@ impl Executor for TreeExecutor {
             if let TreeNode::Leaf { slot } = self.nodes[i] {
                 if self.ctx.slot_types[slot] == ev.type_id {
                     self.comparisons += 1;
-                    if unary_ok(&self.ctx, &self.pstore, slot, ev) {
+                    if self.ctx.unary_ok(slot, ev) {
                         let seed = Partial::seed(&mut self.pstore, slot, Arc::clone(ev));
                         self.prop_new.clear();
                         self.prop_new.push(seed);
@@ -299,15 +299,6 @@ fn prune_rec(
     }
 }
 
-/// Unary predicates on `slot` hold for `ev`.
-fn unary_ok(ctx: &ExecContext, store: &PartialStore, slot: usize, ev: &Arc<Event>) -> bool {
-    if ctx.unary[slot].is_empty() {
-        return true;
-    }
-    let binding = ChainBinding::empty(ctx, store, Some((ctx.vars[slot], ev)));
-    ctx.unary[slot].iter().all(|p| p.eval(&binding))
-}
-
 /// Can two partials with disjoint slot sets merge into one? `seen`
 /// (present only under restrictive selection policies) enables
 /// conservative policy pruning of the join.
@@ -324,46 +315,19 @@ fn join_compatible(
     if max_ts - min_ts > ctx.window {
         return false;
     }
-    // Event-instance disjointness (types may repeat across slots).
-    for (_, ev) in b.chain(store) {
-        if a.contains_seq(store, ev.seq) {
-            return false;
-        }
-    }
-    // Temporal order for sequences: check all cross pairs.
-    if ctx.kind == SubKind::Sequence {
-        for (s, ea) in a.chain(store) {
-            for (t, eb) in b.chain(store) {
-                let ok = if s < t {
-                    ExecContext::before(ea, eb)
-                } else {
-                    ExecContext::before(eb, ea)
-                };
-                if !ok {
-                    return false;
-                }
-            }
-        }
-    }
-    // Cross predicates between the two sides.
-    let merged = ChainBinding::merged(ctx, store, a, b);
-    for (s, _) in a.chain(store) {
-        for (t, _) in b.chain(store) {
-            for p in ctx.pair_preds(s, t) {
-                if !p.eval(&merged) {
-                    return false;
-                }
+    // One pass over the cross pairs: event-instance disjointness (types
+    // may repeat across slots), temporal order for sequences, and the
+    // conditions between the two sides.
+    for (s, ea) in a.chain(store) {
+        for (t, eb) in b.chain(store) {
+            if ea.seq == eb.seq || !ctx.joinable(s, ea, t, eb) {
+                return false;
             }
         }
     }
     // Selection-policy pruning: drop joins every completion of which
     // would fail emit-time validation.
-    if let Some(seen) = seen {
-        if prune_join(ctx, seen, store, a, b) {
-            return false;
-        }
-    }
-    true
+    !seen.is_some_and(|seen| prune_join(ctx, seen, store, a, b))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use acep_types::{CanonicalPattern, Event, EventTypeId, Predicate, Timestamp, VarId};
+use acep_types::{CanonicalPattern, Event, EventTypeId, Programs, Timestamp};
 
 use crate::rates::{DgimRateEstimator, ExactRateEstimator, RateEstimator};
 use crate::sample::EventSample;
@@ -63,11 +63,11 @@ impl RateEstimator for RateImpl {
 /// Precompiled statistics spec for one sub-pattern branch.
 struct BranchSpec {
     slot_types: Vec<EventTypeId>,
-    /// `(slot_i, slot_j, var_i, var_j, predicates)` for each pair with
-    /// at least one condition.
-    pair_preds: Vec<(usize, usize, VarId, VarId, Vec<Predicate>)>,
-    /// `(slot, var, predicates)` for slots with unary conditions.
-    unary_preds: Vec<(usize, VarId, Vec<Predicate>)>,
+    /// The branch's unary and pairwise conditions, compiled once: one
+    /// group per slot pair `i <= j` in row-major order — the unary
+    /// conditions of `i` over the frame `(event of i)` when `i == j`,
+    /// else those between `i` and `j` over `(event of i, event of j)`.
+    conds: Programs,
 }
 
 /// Continuously re-estimates the monitored statistics of a pattern — the
@@ -106,31 +106,20 @@ impl StatisticsCollector {
             .iter()
             .map(|b| {
                 let slot_types = b.slots.iter().map(|s| s.event_type).collect();
-                let mut pair_preds = Vec::new();
+                let mut conds = Programs::default();
                 for i in 0..b.n() {
-                    for j in (i + 1)..b.n() {
-                        let preds: Vec<Predicate> = b
-                            .binary_conditions(i, j)
-                            .map(|c| c.predicate.clone())
-                            .collect();
-                        if !preds.is_empty() {
-                            pair_preds.push((i, j, b.slots[i].var, b.slots[j].var, preds));
+                    for j in i..b.n() {
+                        let frame = [b.slots[i].var, b.slots[j].var];
+                        if i == j {
+                            let unary = b.unary_conditions(i).map(|c| &c.predicate);
+                            conds.push_group(unary, &frame[..1]);
+                        } else {
+                            let between = b.binary_conditions(i, j).map(|c| &c.predicate);
+                            conds.push_group(between, &frame);
                         }
                     }
                 }
-                let mut unary_preds = Vec::new();
-                for i in 0..b.n() {
-                    let preds: Vec<Predicate> =
-                        b.unary_conditions(i).map(|c| c.predicate.clone()).collect();
-                    if !preds.is_empty() {
-                        unary_preds.push((i, b.slots[i].var, preds));
-                    }
-                }
-                BranchSpec {
-                    slot_types,
-                    pair_preds,
-                    unary_preds,
-                }
+                BranchSpec { slot_types, conds }
             })
             .collect();
 
@@ -173,23 +162,16 @@ impl StatisticsCollector {
         for (i, t) in spec.slot_types.iter().enumerate() {
             snap.set_rate(i, self.rates[t.index()].rate_per_sec(now));
         }
-        for (i, j, vi, vj, preds) in &spec.pair_preds {
-            let pred_refs: Vec<&Predicate> = preds.iter().collect();
-            let sel = self.estimator.pair(
-                &pred_refs,
-                *vi,
-                &self.samples[spec.slot_types[*i].index()],
-                *vj,
-                &self.samples[spec.slot_types[*j].index()],
-            );
-            snap.set_sel(*i, *j, sel);
-        }
-        for (i, v, preds) in &spec.unary_preds {
-            let pred_refs: Vec<&Predicate> = preds.iter().collect();
-            let sel =
+        let sample = |slot: usize| &self.samples[spec.slot_types[slot].index()];
+        let pairs = (0..n).flat_map(|i| (i..n).map(move |j| (i, j)));
+        for (group, (i, j)) in pairs.enumerate() {
+            let sel = if i == j {
+                self.estimator.unary(&spec.conds, group, sample(i))
+            } else {
                 self.estimator
-                    .unary(&pred_refs, *v, &self.samples[spec.slot_types[*i].index()]);
-            snap.set_sel(*i, *i, sel);
+                    .pair(&spec.conds, group, sample(i), sample(j))
+            };
+            snap.set_sel(i, j, sel);
         }
         snap
     }

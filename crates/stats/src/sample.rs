@@ -45,6 +45,12 @@ impl EventSample {
         self.buf.is_empty()
     }
 
+    /// The `i`-th oldest sampled event.
+    #[inline]
+    pub fn get(&self, i: usize) -> &Arc<Event> {
+        &self.buf[i]
+    }
+
     /// Iterates over the sampled events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Event>> {
         self.buf.iter()

@@ -7,27 +7,9 @@
 //! of the histogram techniques the paper cites, chosen because it works
 //! for arbitrary predicates, not just single-attribute ranges.
 
-use acep_types::{Event, EventBinding, Predicate, VarId};
+use acep_types::Programs;
 
 use crate::sample::EventSample;
-
-/// Binding of at most two variables, without allocation.
-struct PairBinding<'a> {
-    a: (VarId, &'a Event),
-    b: Option<(VarId, &'a Event)>,
-}
-
-impl EventBinding for PairBinding<'_> {
-    fn resolve(&self, var: VarId) -> Option<&Event> {
-        if self.a.0 == var {
-            return Some(self.a.1);
-        }
-        match &self.b {
-            Some((v, e)) if *v == var => Some(e),
-            _ => None,
-        }
-    }
-}
 
 /// Estimates predicate selectivities from [`EventSample`]s.
 #[derive(Debug, Clone)]
@@ -51,21 +33,16 @@ impl SelectivityEstimator {
         Self { max_pairs }
     }
 
-    /// Estimates the selectivity of the conjunction of `predicates`
-    /// between variables `va` (drawn from sample `a`) and `vb` (drawn
-    /// from sample `b`).
+    /// Estimates the selectivity of the compiled conjunction `group` of
+    /// `conds` over the frame `(event of sample a, event of sample b)`.
     ///
-    /// Returns `1.0` when a sample is empty or no predicates are given
-    /// (an uninformative estimate must not skew the cost model).
-    pub fn pair(
-        &self,
-        predicates: &[&Predicate],
-        va: VarId,
-        a: &EventSample,
-        vb: VarId,
-        b: &EventSample,
-    ) -> f64 {
-        if predicates.is_empty() || a.is_empty() || b.is_empty() {
+    /// Returns `1.0` when a sample is empty or the group holds no
+    /// condition (an uninformative estimate must not skew the cost
+    /// model). When both slots share an event type `a` and `b` are the
+    /// same sample; an event is never paired with itself — the engine
+    /// cannot join it with itself either.
+    pub fn pair(&self, conds: &Programs, group: usize, a: &EventSample, b: &EventSample) -> f64 {
+        if conds.group_is_empty(group) || a.is_empty() || b.is_empty() {
             return 1.0;
         }
         let total_pairs = a.len() * b.len();
@@ -74,15 +51,11 @@ impl SelectivityEstimator {
         let stride = shrink.max(1);
         let mut tested = 0u32;
         let mut passed = 0u32;
-        for ea in a.iter().step_by(stride) {
-            for eb in b.iter().step_by(stride) {
-                let binding = PairBinding {
-                    a: (va, ea),
-                    b: Some((vb, eb)),
-                };
-                tested += 1;
-                if predicates.iter().all(|p| p.eval(&binding)) {
-                    passed += 1;
+        for ea in (0..a.len()).step_by(stride).map(|i| a.get(i)) {
+            for eb in (0..b.len()).step_by(stride).map(|i| b.get(i)) {
+                if eb.seq != ea.seq {
+                    tested += 1;
+                    passed += u32::from(conds.holds_pair(group, ea, eb));
                 }
             }
         }
@@ -93,54 +66,53 @@ impl SelectivityEstimator {
         }
     }
 
-    /// Estimates the selectivity of the conjunction of unary
-    /// `predicates` on variable `v` over sample `s`.
-    pub fn unary(&self, predicates: &[&Predicate], v: VarId, s: &EventSample) -> f64 {
-        if predicates.is_empty() || s.is_empty() {
+    /// Estimates the selectivity of the compiled unary conjunction
+    /// `group` of `conds` over sample `s`.
+    pub fn unary(&self, conds: &Programs, group: usize, s: &EventSample) -> f64 {
+        if conds.group_is_empty(group) || s.is_empty() {
             return 1.0;
         }
-        let mut tested = 0u32;
-        let mut passed = 0u32;
-        for ev in s.iter() {
-            let binding = PairBinding {
-                a: (v, ev),
-                b: None,
-            };
-            tested += 1;
-            if predicates.iter().all(|p| p.eval(&binding)) {
-                passed += 1;
-            }
-        }
-        passed as f64 / tested as f64
+        let passed = s
+            .iter()
+            .filter(|ev| conds.holds_pair(group, ev, ev))
+            .count();
+        passed as f64 / s.len() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acep_types::{attr, constant, EventTypeId, Value};
+    use acep_types::{attr, constant, Event, EventTypeId, Predicate, Value, VarId};
     use std::sync::Arc;
 
+    /// Events of `type_id` carrying `values`, with stream-unique `seq`s.
     fn sample_of(values: &[i64], type_id: u32) -> EventSample {
         let mut s = EventSample::new(values.len());
         for (i, &v) in values.iter().enumerate() {
             s.push(Arc::new(Event {
                 type_id: EventTypeId(type_id),
                 timestamp: i as u64,
-                seq: i as u64,
+                seq: type_id as u64 * 1_000 + i as u64,
                 attrs: vec![Value::Int(v)],
             }));
         }
         s
     }
 
+    /// `preds` compiled as group 0 over the frame `(v0, v1)`.
+    fn compiled(preds: &[Predicate]) -> Programs {
+        let mut conds = Programs::default();
+        conds.push_group(preds, &[VarId(0), VarId(1)]);
+        conds
+    }
+
     #[test]
     fn half_selectivity_for_less_than_on_uniform_values() {
         let a = sample_of(&(0..20).collect::<Vec<_>>(), 0);
         let b = sample_of(&(0..20).collect::<Vec<_>>(), 1);
-        let p = attr(0, 0).lt(attr(1, 0));
         let est = SelectivityEstimator::new(1_000);
-        let sel = est.pair(&[&p], VarId(0), &a, VarId(1), &b);
+        let sel = est.pair(&compiled(&[attr(0, 0).lt(attr(1, 0))]), 0, &a, &b);
         // 190 of 400 ordered pairs satisfy a < b.
         assert!((sel - 0.475).abs() < 1e-9, "sel={sel}");
     }
@@ -150,19 +122,23 @@ mod tests {
         let a = sample_of(&[1, 2, 3], 0);
         let b = sample_of(&[10, 20], 1);
         let est = SelectivityEstimator::default();
-        let lt = attr(0, 0).lt(attr(1, 0));
-        let gt = attr(0, 0).gt(attr(1, 0));
-        assert_eq!(est.pair(&[&lt], VarId(0), &a, VarId(1), &b), 1.0);
-        assert_eq!(est.pair(&[&gt], VarId(0), &a, VarId(1), &b), 0.0);
+        let lt = compiled(&[attr(0, 0).lt(attr(1, 0))]);
+        let gt = compiled(&[attr(0, 0).gt(attr(1, 0))]);
+        assert_eq!(est.pair(&lt, 0, &a, &b), 1.0);
+        assert_eq!(est.pair(&gt, 0, &a, &b), 0.0);
     }
 
     #[test]
-    fn empty_sample_yields_neutral_estimate() {
+    fn empty_sample_or_group_yields_neutral_estimate() {
         let a = sample_of(&[1], 0);
         let b = EventSample::new(4);
-        let p = attr(0, 0).lt(attr(1, 0));
         let est = SelectivityEstimator::default();
-        assert_eq!(est.pair(&[&p], VarId(0), &a, VarId(1), &b), 1.0);
+        assert_eq!(
+            est.pair(&compiled(&[attr(0, 0).lt(attr(1, 0))]), 0, &a, &b),
+            1.0
+        );
+        assert_eq!(est.pair(&compiled(&[]), 0, &a, &a), 1.0);
+        assert_eq!(est.unary(&compiled(&[]), 0, &a), 1.0);
     }
 
     #[test]
@@ -172,17 +148,16 @@ mod tests {
         let p1 = attr(0, 0).lt(attr(1, 0));
         let p2 = attr(1, 0).gt(constant(5));
         let est = SelectivityEstimator::new(1_000);
-        let sel_both = est.pair(&[&p1, &p2], VarId(0), &a, VarId(1), &b);
-        let sel_one = est.pair(&[&p1], VarId(0), &a, VarId(1), &b);
+        let sel_both = est.pair(&compiled(&[p1.clone(), p2]), 0, &a, &b);
+        let sel_one = est.pair(&compiled(&[p1]), 0, &a, &b);
         assert!(sel_both < sel_one);
     }
 
     #[test]
     fn unary_selectivity() {
         let s = sample_of(&(0..10).collect::<Vec<_>>(), 0);
-        let p = attr(0, 0).ge(constant(7));
         let est = SelectivityEstimator::default();
-        let sel = est.unary(&[&p], VarId(0), &s);
+        let sel = est.unary(&compiled(&[attr(0, 0).ge(constant(7))]), 0, &s);
         assert!((sel - 0.3).abs() < 1e-9);
     }
 
@@ -192,9 +167,32 @@ mod tests {
         let vals: Vec<i64> = (0..100).collect();
         let a = sample_of(&vals, 0);
         let b = sample_of(&vals, 1);
-        let p = attr(0, 0).lt(attr(1, 0));
         let est = SelectivityEstimator::new(100);
-        let sel = est.pair(&[&p], VarId(0), &a, VarId(1), &b);
+        let sel = est.pair(&compiled(&[attr(0, 0).lt(attr(1, 0))]), 0, &a, &b);
         assert!((sel - 0.5).abs() < 0.1, "sel={sel}");
+    }
+
+    #[test]
+    fn same_sample_on_both_sides_never_pairs_an_event_with_itself() {
+        // Two slots of one type draw from one sample. Over 4 distinct
+        // values 6 of the 12 joinable pairs satisfy a < b; counting the
+        // 4 self-pairs (never true for <) would read 6/16.
+        let s = sample_of(&[1, 2, 3, 4], 0);
+        let est = SelectivityEstimator::new(1_000);
+        assert_eq!(
+            est.pair(&compiled(&[attr(0, 0).lt(attr(1, 0))]), 0, &s, &s),
+            0.5
+        );
+        // ... and a.x == b.x holds for no joinable pair, not for 4/16.
+        assert_eq!(
+            est.pair(&compiled(&[attr(0, 0).eq(attr(1, 0))]), 0, &s, &s),
+            0.0
+        );
+        // A one-event sample has no joinable pair: neutral.
+        let one = sample_of(&[1], 0);
+        assert_eq!(
+            est.pair(&compiled(&[attr(0, 0).lt(attr(1, 0))]), 0, &one, &one),
+            1.0
+        );
     }
 }

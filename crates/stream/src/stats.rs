@@ -224,11 +224,16 @@ pub struct ShardStats {
     /// Whether the phantom source still holds the watermark back (its
     /// discovery grace has not lapsed; `PerSource` only).
     pub phantom_active: bool,
-    /// Engines visited by watermark-driven finalization sweeps. The
-    /// shard indexes engines by their minimum pending deadline, so this
+    /// Engines visited by watermark-driven finalization sweeps — pops
+    /// of the shard's deadline heap, and nothing else. The shard
+    /// indexes engines by their minimum pending deadline, so this
     /// counts only engines that had (or recently had) a match pending —
     /// a watermark advance over a shard with nothing pending does zero
-    /// per-engine work and leaves this untouched.
+    /// per-engine work and leaves this untouched. A key that keeps
+    /// receiving events finalizes its held matches inside its own
+    /// `on_event` before any watermark reaches them, so on hot keys
+    /// this reads 0 while matches are being finalized all the time:
+    /// 0 means "no watermark-driven visits", not "nothing finalized".
     pub finalize_visits: u64,
     /// Emission latency of deadline-held matches (`detected_at -
     /// deadline`, ms of event time), log₂-bucketed. Covers matches

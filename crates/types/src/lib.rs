@@ -54,6 +54,7 @@ pub mod faultpoint;
 pub mod partition;
 pub mod pattern;
 pub mod predicate;
+pub mod program;
 pub mod schema;
 pub mod selection;
 pub mod value;
@@ -70,7 +71,8 @@ pub use partition::{
     mix64, value_key, AttrKeyExtractor, KeyExtractor, LastAttrKeyExtractor, TypeKeyExtractor,
 };
 pub use pattern::{Pattern, PatternBuilder, PatternExpr};
-pub use predicate::{attr, attr_plus, constant, CmpOp, EventBinding, Operand, Predicate, VarId};
+pub use predicate::{attr, attr_plus, constant, CmpOp, Operand, Predicate, VarId};
+pub use program::Programs;
 pub use schema::{AttrId, EventSchema, SchemaRegistry};
 pub use selection::SelectionPolicy;
 pub use value::Value;

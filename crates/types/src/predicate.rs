@@ -2,15 +2,16 @@
 //!
 //! Conditions are Boolean formulas over comparisons between attributes of
 //! the pattern's primitive events (and constants), mirroring the `WHERE`
-//! clause of SASE-style pattern declarations. Keeping predicates as data
-//! (rather than opaque closures) lets the statistics collector estimate
-//! their selectivities by evaluating them on sampled event pairs, which is
-//! what the paper's cost model consumes.
+//! clause of SASE-style pattern declarations. Predicates are declarative
+//! data (rather than opaque closures): the canonicaliser sorts them by
+//! variable footprint, the planner and the statistics collector read
+//! which slots they link. They are never interpreted — evaluators lower
+//! them once into a [`Programs`](crate::program::Programs) table and run
+//! that, on the engine's join path and over the collector's sampled
+//! event pairs alike (the selectivities the paper's cost model consumes).
 
-use std::cmp::Ordering;
 use std::fmt;
 
-use crate::event::Event;
 use crate::schema::AttrId;
 use crate::value::Value;
 
@@ -30,34 +31,6 @@ impl VarId {
 impl fmt::Display for VarId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v{}", self.0)
-    }
-}
-
-/// Resolves pattern variables to concrete events during evaluation.
-pub trait EventBinding {
-    /// Returns the event currently bound to `var`, if any.
-    fn resolve(&self, var: VarId) -> Option<&Event>;
-}
-
-/// A binding over a small, fixed set of `(var, event)` pairs. Used by the
-/// selectivity estimator and in tests.
-pub struct SliceBinding<'a> {
-    entries: &'a [(VarId, &'a Event)],
-}
-
-impl<'a> SliceBinding<'a> {
-    /// Creates a binding from explicit pairs.
-    pub fn new(entries: &'a [(VarId, &'a Event)]) -> Self {
-        Self { entries }
-    }
-}
-
-impl EventBinding for SliceBinding<'_> {
-    fn resolve(&self, var: VarId) -> Option<&Event> {
-        self.entries
-            .iter()
-            .find(|(v, _)| *v == var)
-            .map(|(_, e)| *e)
     }
 }
 
@@ -86,20 +59,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// Resolves the operand to a value. `AttrOffset` over a non-numeric
-    /// attribute resolves to `None` (conservative: the comparison
-    /// fails).
-    fn value(&self, binding: &dyn EventBinding) -> Option<Value> {
-        match self {
-            Operand::Attr { var, attr } => binding.resolve(*var)?.attr(*attr).cloned(),
-            Operand::AttrOffset { var, attr, offset } => {
-                let v = binding.resolve(*var)?.attr(*attr)?.as_f64()?;
-                Some(Value::Float(v + offset))
-            }
-            Operand::Const(v) => Some(v.clone()),
-        }
-    }
-
     /// `self < rhs`
     pub fn lt(self, rhs: Operand) -> Predicate {
         Predicate::cmp(self, CmpOp::Lt, rhs)
@@ -165,24 +124,8 @@ pub enum CmpOp {
     Ne,
 }
 
-impl CmpOp {
-    fn test(self, ord: Ordering) -> bool {
-        match self {
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-        }
-    }
-}
-
-/// A Boolean formula over attribute comparisons.
-///
-/// Evaluation is *conservative*: a comparison over an unbound variable, a
-/// missing attribute, or incomparable value types evaluates to `false`
-/// (so `Not` of such a comparison evaluates to `true`).
+/// A Boolean formula over attribute comparisons (evaluation semantics:
+/// see [`crate::program`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true.
@@ -208,20 +151,6 @@ impl Predicate {
     /// Creates a comparison predicate.
     pub fn cmp(lhs: Operand, op: CmpOp, rhs: Operand) -> Self {
         Predicate::Cmp { lhs, op, rhs }
-    }
-
-    /// Evaluates the predicate against a variable binding.
-    pub fn eval(&self, binding: &dyn EventBinding) -> bool {
-        match self {
-            Predicate::True => true,
-            Predicate::Cmp { lhs, op, rhs } => match (lhs.value(binding), rhs.value(binding)) {
-                (Some(a), Some(b)) => a.compare(&b).is_some_and(|ord| op.test(ord)),
-                _ => false,
-            },
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(binding)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.eval(binding)),
-            Predicate::Not(p) => !p.eval(binding),
-        }
     }
 
     /// Returns the distinct pattern variables referenced, in ascending
@@ -260,94 +189,6 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventTypeId;
-
-    fn ev(type_id: u32, attrs: Vec<Value>) -> Event {
-        Event {
-            type_id: EventTypeId(type_id),
-            timestamp: 0,
-            seq: 0,
-            attrs,
-        }
-    }
-
-    #[test]
-    fn comparison_between_two_events() {
-        let a = ev(0, vec![Value::Int(5)]);
-        let b = ev(1, vec![Value::Int(9)]);
-        let binding_pairs = [(VarId(0), &a), (VarId(1), &b)];
-        let binding = SliceBinding::new(&binding_pairs);
-
-        assert!(attr(0, 0).lt(attr(1, 0)).eval(&binding));
-        assert!(!attr(0, 0).gt(attr(1, 0)).eval(&binding));
-        assert!(attr(0, 0).ne(attr(1, 0)).eval(&binding));
-        assert!(attr(0, 0).le(attr(1, 0)).eval(&binding));
-        assert!(!attr(0, 0).ge(attr(1, 0)).eval(&binding));
-        assert!(!attr(0, 0).eq(attr(1, 0)).eval(&binding));
-    }
-
-    #[test]
-    fn comparison_with_constant() {
-        let a = ev(0, vec![Value::Float(2.5)]);
-        let binding_pairs = [(VarId(0), &a)];
-        let binding = SliceBinding::new(&binding_pairs);
-        assert!(attr(0, 0).gt(constant(2.0)).eval(&binding));
-        assert!(!attr(0, 0).gt(constant(3)).eval(&binding));
-    }
-
-    #[test]
-    fn unbound_variable_is_false() {
-        let a = ev(0, vec![Value::Int(5)]);
-        let binding_pairs = [(VarId(0), &a)];
-        let binding = SliceBinding::new(&binding_pairs);
-        let p = attr(0, 0).eq(attr(7, 0));
-        assert!(!p.eval(&binding));
-        // ... and Not of it is true (conservative semantics).
-        assert!(Predicate::Not(Box::new(p)).eval(&binding));
-    }
-
-    #[test]
-    fn missing_attribute_is_false() {
-        let a = ev(0, vec![]);
-        let binding_pairs = [(VarId(0), &a)];
-        let binding = SliceBinding::new(&binding_pairs);
-        assert!(!attr(0, 3).eq(constant(1)).eval(&binding));
-    }
-
-    #[test]
-    fn boolean_combinators() {
-        let a = ev(0, vec![Value::Int(5)]);
-        let binding_pairs = [(VarId(0), &a)];
-        let binding = SliceBinding::new(&binding_pairs);
-        let t = attr(0, 0).eq(constant(5));
-        let f = attr(0, 0).eq(constant(6));
-        assert!(Predicate::And(vec![t.clone(), t.clone()]).eval(&binding));
-        assert!(!Predicate::And(vec![t.clone(), f.clone()]).eval(&binding));
-        assert!(Predicate::Or(vec![f.clone(), t.clone()]).eval(&binding));
-        assert!(!Predicate::Or(vec![f.clone(), f.clone()]).eval(&binding));
-        assert!(Predicate::True.eval(&binding));
-        assert!(Predicate::And(vec![]).eval(&binding));
-        assert!(!Predicate::Or(vec![]).eval(&binding));
-    }
-
-    #[test]
-    fn attr_offset_shifts_numeric_values() {
-        let a = ev(0, vec![Value::Float(1.0)]);
-        let b = ev(1, vec![Value::Float(1.2)]);
-        let binding_pairs = [(VarId(0), &a), (VarId(1), &b)];
-        let binding = SliceBinding::new(&binding_pairs);
-        // a.x + 0.25 < b.x → 1.25 < 1.2 is false.
-        assert!(!attr_plus(0, 0, 0.25).lt(attr(1, 0)).eval(&binding));
-        // a.x + 0.1 < b.x → 1.1 < 1.2 is true.
-        assert!(attr_plus(0, 0, 0.1).lt(attr(1, 0)).eval(&binding));
-        // Offset over a non-numeric attribute fails conservatively.
-        let s = ev(0, vec![Value::from("text")]);
-        let sp = [(VarId(0), &s)];
-        let sb = SliceBinding::new(&sp);
-        assert!(!attr_plus(0, 0, 1.0).gt(constant(0)).eval(&sb));
-        // AttrOffset contributes its variable to vars().
-        assert_eq!(attr_plus(3, 0, 1.0).lt(constant(1)).vars(), vec![VarId(3)]);
-    }
 
     #[test]
     fn vars_are_sorted_and_deduped() {
@@ -358,5 +199,7 @@ mod tests {
         ]);
         assert_eq!(p.vars(), vec![VarId(0), VarId(1), VarId(2)]);
         assert_eq!(Predicate::True.vars(), Vec::<VarId>::new());
+        // AttrOffset contributes its variable to vars().
+        assert_eq!(attr_plus(3, 0, 1.0).lt(constant(1)).vars(), vec![VarId(3)]);
     }
 }

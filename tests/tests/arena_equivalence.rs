@@ -340,3 +340,62 @@ proptest! {
         }
     }
 }
+
+/// Condition programs and partial chains carry no width limit: the
+/// paper's largest pattern (8 slots, here an AND with a condition on
+/// every adjacent slot pair) and a 20-slot SEQ fed one event per type
+/// emit the same non-empty multiset under Order, Tree and Lazy plans in
+/// either slot order. A fixed-size frame or slot array in the evaluator
+/// would break one of the two.
+#[test]
+fn wide_patterns_match_identically_under_every_plan_kind() {
+    let types = |n: u32| (0..n).map(t).collect::<Vec<_>>();
+    let and8 = (1..8u32)
+        .fold(
+            Pattern::builder("and8").expr(PatternExpr::and(
+                types(8).into_iter().map(PatternExpr::prim),
+            )),
+            |b, i| b.condition(attr(i - 1, 0).le(attr(i, 0))),
+        )
+        .window(WINDOW)
+        .build()
+        .unwrap();
+    // x ∈ {0, 1}: each adjacent `<=` passes three times in four.
+    let and8_events: Vec<Arc<Event>> = lcg_events(72, 8, 5)
+        .iter()
+        .map(|e| {
+            Event::new(
+                e.type_id,
+                e.timestamp,
+                e.seq,
+                vec![Value::Int((e.seq % 2) as i64)],
+            )
+        })
+        .collect();
+    let seq20 = Pattern::sequence("seq20", &types(20), 1_000);
+    let seq20_events: Vec<Arc<Event>> = (0..20u64)
+        .map(|i| Event::new(t(i as u32), 10 * i, i, vec![Value::Int(0)]))
+        .collect();
+
+    for (pattern, events, expect) in [(and8, and8_events, None), (seq20, seq20_events, Some(1))] {
+        let n = pattern.canonical().branches[0].n();
+        let mut reference: Option<Vec<MatchKey>> = None;
+        for slots in [(0..n).collect::<Vec<_>>(), (0..n).rev().collect()] {
+            for plan in [
+                EvalPlan::Order(OrderPlan::new(slots.clone())),
+                EvalPlan::Tree(TreePlan::left_deep(&slots)),
+                EvalPlan::Lazy(LazyPlan::new(slots.clone())),
+            ] {
+                let (keys, _) = run_one(&pattern, &plan, &events);
+                assert!(!keys.is_empty(), "{}: {plan:?} found nothing", pattern.name);
+                assert!(
+                    expect.is_none_or(|m| keys.len() == m),
+                    "{}: {plan:?}",
+                    pattern.name
+                );
+                let reference = reference.get_or_insert_with(|| keys.clone());
+                assert_eq!(&keys, reference, "{}: {plan:?} diverged", pattern.name);
+            }
+        }
+    }
+}
