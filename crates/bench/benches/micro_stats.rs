@@ -2,7 +2,12 @@
 //! (the paper's \[27\] estimator) and selectivity sampling.
 //! `snapshot/traffic_and5` is the benchmark's `stats.snapshot.us` layer
 //! in isolation: one snapshot of the `adapt_order` pattern under the
-//! default `StatsConfig`.
+//! default `StatsConfig`. The `*/iot_seq3` rows do the same for the
+//! `iot_lazy` query, whose `T1.reading > 0` is a counted unary
+//! selectivity: `observe/iot_seq3` feeds 1000 fleet events per sample
+//! (printed µs read as ns per event, beside `stats.observe.ns_per_event`)
+//! and `snapshot/iot_seq3` takes one snapshot (beside
+//! `stats.snapshot.us`).
 
 #[path = "common.rs"]
 mod common;
@@ -64,6 +69,43 @@ fn bench(c: &mut Criterion) {
             collector.observe(ev);
         }
         let now = events.last().unwrap().timestamp;
+        b.iter(|| black_box(collector.snapshot_branch(0, now)))
+    });
+    let iot = acep_workloads::IotConfig {
+        devices: 2_000,
+        events: 64_000,
+        ..acep_workloads::IotConfig::default()
+    };
+    let iot_events = acep_workloads::iot_fleet(&iot);
+    let iot_pattern = iot.pattern();
+    let iot_collector = || {
+        acep_stats::StatisticsCollector::new(
+            acep_workloads::IotConfig::NUM_TYPES,
+            iot_pattern.canonical(),
+            &acep_stats::StatsConfig::default(),
+        )
+    };
+    c.bench_function("micro/stats/observe/iot_seq3", |b| {
+        // Walks the stream in 1000-event samples; timestamps must not
+        // run backwards, so the collector restarts with the stream.
+        let mut chunks = iot_events.chunks(1_000).enumerate().cycle();
+        let mut collector = iot_collector();
+        b.iter(|| {
+            let (i, chunk) = chunks.next().unwrap();
+            if i == 0 {
+                collector = iot_collector();
+            }
+            for ev in chunk {
+                collector.observe(ev);
+            }
+        })
+    });
+    c.bench_function("micro/stats/snapshot/iot_seq3", |b| {
+        let mut collector = iot_collector();
+        for ev in &iot_events {
+            collector.observe(ev);
+        }
+        let now = iot_events.last().unwrap().timestamp;
         b.iter(|| black_box(collector.snapshot_branch(0, now)))
     });
     c.bench_function("micro/stats/snapshot/traffic_and5", |b| {

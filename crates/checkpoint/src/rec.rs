@@ -732,14 +732,18 @@ impl RateRec {
     }
 }
 
-/// A controller's statistics collector: per-type rate-estimator state
-/// and per-type samples (event seq references into the shard's event
+/// A controller's statistics collector: rate-estimator state and
+/// per-type samples (event seq references into the shard's event
 /// table).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CollectorRec {
     /// Total events the collector observed.
     pub events_observed: u64,
-    /// Per-type rate-estimator state, type index order.
+    /// Rate-estimator state: one entry per type (type index order), then
+    /// one per unary-conditioned branch slot (branch, then slot order),
+    /// counting the slot's arrivals that pass its unary conditions. A
+    /// record whose count does not match the collector's shape is
+    /// refused on restore.
     pub rates: Vec<RateRec>,
     /// Per-type sampled events as seq references (oldest first), type
     /// index order.

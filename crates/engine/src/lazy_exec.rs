@@ -5,11 +5,13 @@
 //! prefix combination, this executor stores almost no partial state at
 //! all. Events are only appended to per-join-position ring buffers; the
 //! arrival of an instance of the plan's *trigger slot* (`order[0]`, the
-//! statistically rarest effective type) registers a pending *trigger*.
-//! When the trigger's window closes — every event that could join it has
-//! arrived — the executor constructs all chains seeded on the trigger by
-//! extending through the buffered slots in ascending-frequency plan
-//! order, and hands completed combinations to the shared [`Finalizer`].
+//! statistically rarest effective type) is a *trigger*. Once every event
+//! that could join it has arrived, the executor constructs all chains
+//! seeded on the trigger by extending through the buffered slots in
+//! ascending-frequency plan order, and hands completed combinations to
+//! the shared [`Finalizer`]. When the trigger slot is the last join slot
+//! of a sequence, that is at once: everything it joins precedes it. Any
+//! other trigger is *deferred* — held in a queue until its window closes.
 //! Live state is therefore `O(buffered events + pending triggers)`
 //! instead of `O(partial-match prefixes)` — the memory-vs-latency trade
 //! of the paper's reference \[36\], exposed here as a third plan family
@@ -17,11 +19,11 @@
 //!
 //! # Retention and ordering invariants
 //!
-//! A trigger stamped `τ` fires at the first event or watermark with
-//! stream time strictly after `τ + W`. Every invariant below follows
-//! from one rule: **triggers fire before the finalizer observes the
-//! current event**, so no history can be pruned between a trigger
-//! becoming ready and its chains being built.
+//! A deferred trigger stamped `τ` fires at the first event or watermark
+//! with stream time strictly after `τ + W`. Every invariant below
+//! follows from one rule: **deferred triggers fire before the finalizer
+//! observes the current event**, so no history can be pruned between a
+//! trigger becoming ready and its chains being built.
 //!
 //! * Slot buffers retain `2W` of stream time: any unfired trigger at
 //!   prune time `t` has `τ + W ≥ t`, and its chain members lie in
@@ -31,25 +33,33 @@
 //!   `max_ts − W ≥ τ − W ≥ t − 2W`.
 //! * The restrictive-policy seen ring's standard `now − 2W` cutoff is
 //!   already sufficient for the same reason — no change needed.
-//! * Every admission happens at stream time past the trigger's window
-//!   (`finalization_deadline ≤ min_ts + W ≤ τ + W < now`), so matches
-//!   emit immediately and the finalizer's pending queue stays empty:
-//!   [`partial_count`](Executor::partial_count) is the trigger count.
+//! * Admission time. A deferred trigger's chains are admitted at stream
+//!   time past its window (`finalization_deadline ≤ min_ts + W ≤ τ + W <
+//!   now`), so they emit immediately. A trigger on a sequence's last
+//!   join slot is admitted at its own arrival, after it is buffered and
+//!   the finalizer has observed it: its chain members precede it in
+//!   `(ts, seq)` order and sit in the slot buffers, negated and Kleene
+//!   candidates between join slots sit in the finalizer's history, and a
+//!   trailing negation or Kleene slot holds the match in the finalizer's
+//!   pending queue until `min_ts + W`, as under the eager executors.
+//!   [`partial_count`](Executor::partial_count) is the deferred trigger
+//!   count plus that queue.
 //!
 //! Each match is generated exactly once: a chain binds `order[0]` to a
 //! unique trigger event, and `compatible` rejects a candidate already
 //! bound in the chain. Emission (admission checks, selection-policy
 //! validation, negation, Kleene collection) reuses the identical
 //! [`Finalizer`] and `compatible` machinery as the eager executors, so
-//! the emitted match multiset is bit-identical — only `detected_at`
-//! moves to the window close, which the match key deliberately excludes.
+//! the emitted match multiset is bit-identical — only a deferred
+//! trigger's `detected_at` moves to the window close, which the match key
+//! deliberately excludes.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use acep_checkpoint::{BufferRec, CheckpointError, EventMap, EventTable, ExecutorRec, LazyExecRec};
 use acep_plan::LazyPlan;
-use acep_types::{Event, Timestamp};
+use acep_types::{Event, SubKind, Timestamp};
 
 use crate::buffer::EventBuffer;
 use crate::context::ExecContext;
@@ -63,7 +73,7 @@ use crate::selection::SharedSeen;
 /// How many events between expiry sweeps of quiet slot buffers.
 const SWEEP_INTERVAL: u32 = 256;
 
-/// A pending rare-slot arrival. Fires (chains are constructed) once
+/// A deferred rare-slot arrival. Fires (chains are constructed) once
 /// stream time strictly exceeds `deadline`.
 #[derive(Debug)]
 struct Trigger {
@@ -81,9 +91,13 @@ pub struct LazyExecutor {
     join_order: Vec<usize>,
     /// Event history per join position, retaining `2W` of stream time.
     buffers: Vec<EventBuffer>,
-    /// Unfired triggers in arrival order. In-order delivery makes their
-    /// deadlines nondecreasing, so readiness is a pop-front scan.
+    /// Unfired deferred triggers in arrival order. In-order delivery
+    /// makes their deadlines nondecreasing, so readiness is a pop-front
+    /// scan.
     triggers: VecDeque<Trigger>,
+    /// The trigger slot is the last join slot of a sequence: triggers
+    /// fire on arrival instead of being deferred.
+    fire_on_arrival: bool,
     /// Transient chain-construction scratch, cleared after every fire
     /// batch — nothing lives here between events.
     store: PartialStore,
@@ -110,11 +124,14 @@ impl LazyExecutor {
         let m = join_order.len();
         debug_assert!(m >= 1, "ExecContext guarantees a non-Kleene slot");
         let retention = ctx.window.saturating_mul(2);
+        let fire_on_arrival =
+            ctx.kind == SubKind::Sequence && ctx.next_join_slot(join_order[0]).is_none();
         Self {
             finalizer: Finalizer::with_history_retention(Arc::clone(&ctx), retention),
             ctx,
             buffers: (0..m).map(|_| EventBuffer::new(retention)).collect(),
             triggers: VecDeque::new(),
+            fire_on_arrival,
             store: PartialStore::new(),
             stack: Vec::new(),
             positions_scratch: Vec::new(),
@@ -236,19 +253,29 @@ impl Executor for LazyExecutor {
                 positions.push(pos);
             }
         }
+        let mut fire_now = false;
         if positions.first() == Some(&0) {
             self.comparisons += 1;
             if self.ctx.unary_ok(self.join_order[0], ev) {
-                self.triggers.push_back(Trigger {
-                    ev: Arc::clone(ev),
-                    deadline: now + self.ctx.window,
-                });
+                if self.fire_on_arrival {
+                    fire_now = true;
+                } else {
+                    self.triggers.push_back(Trigger {
+                        ev: Arc::clone(ev),
+                        deadline: now + self.ctx.window,
+                    });
+                }
             }
         }
         for &pos in &positions {
             self.buffers[pos].push(Arc::clone(ev));
         }
         self.positions_scratch = positions;
+        // Everything a last-slot trigger joins is buffered by now.
+        if fire_now {
+            self.fire(ev, now, out);
+            self.store.clear();
+        }
     }
 
     fn advance_time(&mut self, now: Timestamp, out: &mut Vec<Match>) {
@@ -361,16 +388,18 @@ mod tests {
     fn detects_sequence_after_window_close() {
         let p = seq_abc();
         let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
-        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![2, 1, 0]));
+        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![1, 2, 0]));
         let mut out = Vec::new();
         exec.on_event(&ev(0, 10, 0, 0), &mut out);
         exec.on_event(&ev(1, 20, 1, 0), &mut out);
         exec.on_event(&ev(2, 30, 2, 0), &mut out);
-        // The trigger (C at ts 30) waits for its window to close.
+        // The trigger (B at ts 20) is not the sequence's last slot: a
+        // later C could still join it, so it waits for its window to
+        // close.
         assert!(out.is_empty());
         assert_eq!(exec.partial_count(), 1);
-        assert_eq!(exec.min_pending_deadline(), Some(130));
-        exec.on_event(&ev(9, 131, 3, 0), &mut out);
+        assert_eq!(exec.min_pending_deadline(), Some(120));
+        exec.on_event(&ev(9, 121, 3, 0), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].min_ts, 10);
         assert_eq!(out[0].max_ts, 30);
@@ -382,15 +411,87 @@ mod tests {
     fn advance_time_fires_ready_triggers() {
         let p = seq_abc();
         let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![1, 2, 0]));
+        let mut out = Vec::new();
+        exec.on_event(&ev(0, 10, 0, 0), &mut out);
+        exec.on_event(&ev(1, 20, 1, 0), &mut out);
+        exec.on_event(&ev(2, 30, 2, 0), &mut out);
+        exec.advance_time(120, &mut out);
+        assert!(out.is_empty(), "deadline 120 not strictly passed");
+        exec.advance_time(121, &mut out);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn last_slot_trigger_of_a_sequence_fires_on_arrival() {
+        let p = seq_abc();
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
         let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![2, 1, 0]));
         let mut out = Vec::new();
         exec.on_event(&ev(0, 10, 0, 0), &mut out);
         exec.on_event(&ev(1, 20, 1, 0), &mut out);
         exec.on_event(&ev(2, 30, 2, 0), &mut out);
-        exec.advance_time(130, &mut out);
-        assert!(out.is_empty(), "deadline 130 not strictly passed");
+        // C is the last slot: everything it joins already arrived.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].detected_at, 30);
+        assert_eq!(exec.partial_count(), 0);
+        assert_eq!(exec.min_pending_deadline(), None);
+        exec.finish(&mut out);
+        assert_eq!(out.len(), 1, "nothing left to fire");
+
+        // The same trigger slot of a conjunction keeps the window-close
+        // rule: a later A or B could still join it.
+        let p = Pattern::conjunction("p", &[t(0), t(1), t(2)], 100);
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![2, 1, 0]));
+        let mut out = Vec::new();
+        exec.on_event(&ev(0, 10, 0, 0), &mut out);
+        exec.on_event(&ev(1, 20, 1, 0), &mut out);
+        exec.on_event(&ev(2, 30, 2, 0), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(exec.min_pending_deadline(), Some(130));
         exec.advance_time(131, &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn on_arrival_match_with_trailing_negation_waits_for_its_deadline() {
+        // SEQ(A, B, ~C) under [B, A]: B is the last join slot, so its
+        // chains are built on arrival, but a C up to min_ts + W may still
+        // cancel the match — the finalizer holds it until then.
+        let p = Pattern::builder("p")
+            .expr(PatternExpr::seq([
+                PatternExpr::prim(t(0)),
+                PatternExpr::prim(t(1)),
+                PatternExpr::neg(PatternExpr::prim(t(2))),
+            ]))
+            .window(100)
+            .build()
+            .unwrap();
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let plan = LazyPlan::new(vec![1, 0]);
+        for cancelled in [false, true] {
+            let mut exec = LazyExecutor::new(Arc::clone(&ctx), &plan);
+            let mut out = Vec::new();
+            exec.on_event(&ev(0, 10, 0, 0), &mut out);
+            exec.on_event(&ev(1, 20, 1, 0), &mut out);
+            assert!(out.is_empty());
+            assert_eq!(exec.partial_count(), 1, "held in the finalizer");
+            assert_eq!(exec.min_pending_deadline(), Some(110));
+            if cancelled {
+                exec.on_event(&ev(2, 50, 2, 0), &mut out);
+            }
+            exec.advance_time(110, &mut out);
+            assert!(out.is_empty(), "deadline 110 not strictly passed");
+            exec.advance_time(111, &mut out);
+            if cancelled {
+                assert!(out.is_empty());
+            } else {
+                assert_eq!(out.len(), 1);
+                assert_eq!((out[0].detected_at, out[0].deadline), (111, 110));
+            }
+            assert_eq!(exec.partial_count(), 0);
+        }
     }
 
     #[test]
@@ -480,17 +581,17 @@ mod tests {
                 PatternExpr::prim(t(0)),
                 PatternExpr::prim(t(1)),
             ]))
-            .condition(attr(1, 0).gt(acep_types::constant(0)))
+            .condition(attr(0, 0).gt(acep_types::constant(0)))
             .window(100)
             .build()
             .unwrap();
         let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
-        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![1, 0]));
+        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![0, 1]));
         let mut out = Vec::new();
-        exec.on_event(&ev(0, 10, 0, 0), &mut out);
-        exec.on_event(&ev(1, 20, 1, -5), &mut out); // fails B.x > 0
+        exec.on_event(&ev(1, 10, 0, 0), &mut out);
+        exec.on_event(&ev(0, 20, 1, -5), &mut out); // fails A.x > 0
         assert_eq!(exec.partial_count(), 0, "disqualified trigger not stored");
-        exec.on_event(&ev(1, 30, 2, 5), &mut out);
+        exec.on_event(&ev(0, 30, 2, 5), &mut out);
         assert_eq!(exec.partial_count(), 1);
     }
 
@@ -614,7 +715,7 @@ mod tests {
     fn checkpoint_round_trip_preserves_behavior() {
         let p = seq_abc();
         let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
-        let plan = LazyPlan::new(vec![2, 1, 0]);
+        let plan = LazyPlan::new(vec![1, 2, 0]);
         let mut exec = LazyExecutor::new(Arc::clone(&ctx), &plan);
         let mut out = Vec::new();
         exec.on_event(&ev(0, 10, 0, 0), &mut out);
@@ -638,8 +739,8 @@ mod tests {
 
         let mut a = Vec::new();
         let mut b = Vec::new();
-        exec.on_event(&ev(9, 131, 3, 0), &mut a);
-        restored.on_event(&ev(9, 131, 3, 0), &mut b);
+        exec.on_event(&ev(9, 121, 3, 0), &mut a);
+        restored.on_event(&ev(9, 121, 3, 0), &mut b);
         assert_eq!(sorted_keys(&a), sorted_keys(&b));
         assert_eq!(a.len(), 1);
     }

@@ -11,13 +11,14 @@
 //! * [`rates`] — per-type arrival-rate estimators (DGIM-backed, plus an
 //!   exact ring-buffer reference implementation).
 //! * [`sample`] — bounded buffers of recent events per type, used for
-//!   selectivity estimation.
-//! * [`selectivity`] — predicate selectivity estimation by evaluating the
+//!   pair selectivity estimation.
+//! * [`selectivity`] — pair selectivity estimation by evaluating the
 //!   pattern's inter-event predicates over sampled event pairs.
 //! * [`snapshot`] — [`StatSnapshot`]: the `Stat` vector the paper's plan
 //!   generation algorithm `A` and decision function `D` consume.
 //! * [`collector`] — [`StatisticsCollector`]: glues the above together
-//!   for all branches of a canonical pattern.
+//!   for all branches of a canonical pattern, and counts unary
+//!   selectivities over the rate window.
 //! * [`variance`] — running mean/variance trackers (used by the
 //!   violation-probability invariant selection strategy, paper §3.5).
 

@@ -33,6 +33,15 @@ impl DgimRateEstimator {
         }
     }
 
+    /// Sets the warm-up anchor to `ts` unless an arrival already set it.
+    /// A counter fed only some of a type's arrivals is anchored at the
+    /// type's first arrival, so it normalises by the same elapsed span as
+    /// the type's own estimator and the two rates divide into a fraction
+    /// of counts.
+    pub fn anchor(&mut self, ts: Timestamp) {
+        self.first_ts.get_or_insert(ts);
+    }
+
     /// Captures the estimator's state — the histogram's buckets and
     /// the warm-up anchor — for checkpointing.
     pub fn export_state(&self) -> (Vec<(u64, Timestamp)>, Option<Timestamp>) {
@@ -54,9 +63,7 @@ impl DgimRateEstimator {
 
 impl RateEstimator for DgimRateEstimator {
     fn observe(&mut self, ts: Timestamp) {
-        if self.first_ts.is_none() {
-            self.first_ts = Some(ts);
-        }
+        self.anchor(ts);
         self.hist.insert(ts);
     }
 
@@ -90,6 +97,15 @@ impl ExactRateEstimator {
         }
     }
 
+    /// Sets the warm-up anchor to `ts` unless an arrival already set it.
+    /// A counter fed only some of a type's arrivals is anchored at the
+    /// type's first arrival, so it normalises by the same elapsed span as
+    /// the type's own estimator and the two rates divide into a fraction
+    /// of counts.
+    pub fn anchor(&mut self, ts: Timestamp) {
+        self.first_ts.get_or_insert(ts);
+    }
+
     /// Captures the estimator's state — the retained timestamps (oldest
     /// first) and the warm-up anchor — for checkpointing.
     pub fn export_state(&self) -> (Vec<Timestamp>, Option<Timestamp>) {
@@ -114,9 +130,7 @@ impl ExactRateEstimator {
 
 impl RateEstimator for ExactRateEstimator {
     fn observe(&mut self, ts: Timestamp) {
-        if self.first_ts.is_none() {
-            self.first_ts = Some(ts);
-        }
+        self.anchor(ts);
         self.times.push_back(ts);
     }
 

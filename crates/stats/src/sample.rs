@@ -1,4 +1,5 @@
-//! Bounded samples of recent events, used for selectivity estimation.
+//! Bounded samples of recent events, used for pair selectivity
+//! estimation.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -1,11 +1,13 @@
-//! Predicate selectivity estimation from event samples.
+//! Pair selectivity estimation from event samples.
 //!
-//! The selectivity `sel_{i,j}` of the paper's cost model is the success
-//! probability of the conjunction of predicates between slots `i` and
-//! `j`. It is estimated by evaluating those predicates over the cross
+//! The selectivity `sel_{i,j}` (`i ≠ j`) of the paper's cost model is the
+//! success probability of the conjunction of predicates between slots `i`
+//! and `j`. It is estimated by evaluating those predicates over the cross
 //! product of recent-event samples of the two types — a sampling analogue
 //! of the histogram techniques the paper cites, chosen because it works
-//! for arbitrary predicates, not just single-attribute ranges.
+//! for arbitrary predicates, not just single-attribute ranges. Unary
+//! selectivities `sel_{i,i}` need no pairing and are counted over the
+//! whole rate window by the [`collector`](crate::collector) instead.
 
 use acep_types::Programs;
 
@@ -64,19 +66,6 @@ impl SelectivityEstimator {
         } else {
             passed as f64 / tested as f64
         }
-    }
-
-    /// Estimates the selectivity of the compiled unary conjunction
-    /// `group` of `conds` over sample `s`.
-    pub fn unary(&self, conds: &Programs, group: usize, s: &EventSample) -> f64 {
-        if conds.group_is_empty(group) || s.is_empty() {
-            return 1.0;
-        }
-        let passed = s
-            .iter()
-            .filter(|ev| conds.holds_pair(group, ev, ev))
-            .count();
-        passed as f64 / s.len() as f64
     }
 }
 
@@ -138,7 +127,6 @@ mod tests {
             1.0
         );
         assert_eq!(est.pair(&compiled(&[]), 0, &a, &a), 1.0);
-        assert_eq!(est.unary(&compiled(&[]), 0, &a), 1.0);
     }
 
     #[test]
@@ -151,14 +139,6 @@ mod tests {
         let sel_both = est.pair(&compiled(&[p1.clone(), p2]), 0, &a, &b);
         let sel_one = est.pair(&compiled(&[p1]), 0, &a, &b);
         assert!(sel_both < sel_one);
-    }
-
-    #[test]
-    fn unary_selectivity() {
-        let s = sample_of(&(0..10).collect::<Vec<_>>(), 0);
-        let est = SelectivityEstimator::default();
-        let sel = est.unary(&compiled(&[attr(0, 0).ge(constant(7))]), 0, &s);
-        assert!((sel - 0.3).abs() < 1e-9);
     }
 
     #[test]

@@ -360,6 +360,186 @@ fn lazy_executors_survive_a_mid_stream_checkpoint() {
     }
 }
 
+/// Keyed `SEQ(T0, T1, T2)` traffic (60 / 30 / 10 %) whose T1 values
+/// pass `T1.x > 0` one time in ten until event `flip`, then nine in ten:
+/// the lazy planner's trigger moves from T1 to T2 once the counted
+/// unary selectivity crosses over.
+fn unary_flip_stream(n: usize, flip: usize) -> Vec<Arc<Event>> {
+    let mut state = 7u64;
+    let mut ts = 0u64;
+    (0..n)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let tid = match (state >> 33) % 10 {
+                0..=5 => 0,
+                6..=8 => 1,
+                _ => 2,
+            };
+            let pass_in_ten = if i < flip { 1 } else { 9 };
+            let x = if (state >> 40) % 10 < pass_in_ten {
+                1
+            } else {
+                -1
+            };
+            ts += 1 + (state >> 50) % 3;
+            let key = ((state >> 20) % 8) as i64;
+            Event::new(t(tid), ts, i as u64, vec![Value::Int(x), Value::Int(key)])
+        })
+        .collect()
+}
+
+/// The counted unary selectivity is checkpointed with the rest of the
+/// controller: a unary-conditioned lazy-chain query under the invariant
+/// policy, crashed between the checkpoint and a mid-stream shift of its
+/// condition's pass rate, recovers to the uninterrupted multiset *and*
+/// re-plans exactly where, and on the same statistics, the
+/// uninterrupted run did.
+#[test]
+fn unary_conditioned_lazy_query_recovers_its_plan_trajectory() {
+    const SHARDS: usize = 2;
+    let n = 12_000;
+    let events = unary_flip_stream(n, n * 7 / 10);
+    let pattern = Pattern::builder("unary-seq3")
+        .expr(PatternExpr::seq([
+            PatternExpr::prim(t(0)),
+            PatternExpr::prim(t(1)),
+            PatternExpr::prim(t(2)),
+        ]))
+        .condition(attr(1, 0).gt(acep_types::constant(0)))
+        .window(100)
+        .build()
+        .unwrap();
+    let mut set = PatternSet::new(3);
+    let q = set
+        .register(
+            "unary-seq3",
+            pattern,
+            adaptive_config(
+                PlannerKind::LazyChain,
+                PolicyKind::invariant_with_distance(0.1),
+                0,
+            ),
+        )
+        .unwrap();
+    let telemetry_config = || StreamConfig {
+        telemetry: Some(TelemetryConfig::default()),
+        ..config(SHARDS)
+    };
+    // Each (shard) trajectory as comparable tuples: the deploying
+    // controller's event count, the statistics it decided on, the plan.
+    let transitions = |audit: &acep_stream::AuditLog| -> Vec<Vec<(u64, u64, u64, String)>> {
+        (0..SHARDS)
+            .map(|shard| {
+                audit.trajectory(shard, q.0).map_or(Vec::new(), |tr| {
+                    tr.transitions
+                        .iter()
+                        .map(|t| {
+                            (
+                                t.plan_epoch,
+                                t.at_event,
+                                t.snapshot_hash,
+                                t.plan.to_string(),
+                            )
+                        })
+                        .collect()
+                })
+            })
+            .collect()
+    };
+
+    // Uninterrupted reference.
+    let sink = Arc::new(CollectingSink::new());
+    let mut runtime = ShardedRuntime::new(
+        &set,
+        Arc::new(LastAttrKeyExtractor),
+        Arc::clone(&sink) as _,
+        telemetry_config(),
+    )
+    .unwrap();
+    let hub = runtime.telemetry().cloned().unwrap();
+    for chunk in events.chunks(1_000) {
+        runtime.push_batch(chunk);
+    }
+    let ref_stats = runtime.finish();
+    assert_eq!(hub.dropped(), 0, "ring sized for the whole run");
+    let reference = canonical(sink.drain());
+    let ref_transitions = transitions(&hub.audit());
+    assert!(!reference.is_empty());
+
+    // Checkpoint at 3/5, crash at 4/5 — the pass-rate shift at 7/10
+    // falls inside the replayed suffix.
+    let cut = n * 3 / 5;
+    let inner = Arc::new(CollectingSink::new());
+    let dedup = Arc::new(DedupSink::new(
+        Arc::clone(&inner) as Arc<dyn MatchSink>,
+        SHARDS,
+    ));
+    let mut log = CheckpointLog::new();
+    let mut runtime = ShardedRuntime::new(
+        &set,
+        Arc::new(LastAttrKeyExtractor),
+        Arc::clone(&dedup) as _,
+        config(SHARDS),
+    )
+    .unwrap();
+    for chunk in events[..cut].chunks(1_000) {
+        runtime.push_batch(chunk);
+    }
+    runtime.checkpoint(&mut log).unwrap();
+    runtime.push_batch(&events[cut..n * 4 / 5]);
+    runtime.flush();
+    let observed = dedup.frontier();
+    drop(runtime);
+
+    let dedup2 = Arc::new(DedupSink::with_frontier(
+        Arc::clone(&inner) as Arc<dyn MatchSink>,
+        observed,
+    ));
+    let (mut recovered, report) = ShardedRuntime::recover(
+        &set,
+        Arc::new(LastAttrKeyExtractor),
+        Arc::clone(&dedup2) as _,
+        telemetry_config(),
+        &log,
+    )
+    .unwrap();
+    let hub2 = recovered.telemetry().cloned().unwrap();
+    for chunk in events[report.events_ingested as usize..].chunks(1_000) {
+        recovered.push_batch(chunk);
+    }
+    let stats = recovered.finish();
+    assert_eq!(
+        canonical(inner.drain()),
+        reference,
+        "recovered multiset diverged"
+    );
+
+    // Every deployment after the checkpoint is replayed bit for bit.
+    let replayed = transitions(&hub2.audit());
+    assert!(
+        replayed.iter().any(|tr| !tr.is_empty()),
+        "the pass-rate shift after the checkpoint must re-plan"
+    );
+    for (shard, (got, want)) in replayed.iter().zip(&ref_transitions).enumerate() {
+        assert!(
+            want.ends_with(got),
+            "shard {shard}: recovered trajectory {got:?} is not the tail of {want:?}"
+        );
+    }
+    let (a, b) = (ref_stats.adaptation(q), stats.adaptation(q));
+    assert_eq!(
+        (a.decision_evals, a.plan_replacements, a.plan_epoch),
+        (b.decision_evals, b.plan_replacements, b.plan_epoch),
+        "adaptation counters diverged across recovery"
+    );
+    // Armed invariants are not checkpointed (`QueryController::export_rec`):
+    // each shard's first control step after recovery re-plans once, to
+    // the plan it already runs.
+    assert!(b.reopt_triggers <= a.reopt_triggers + SHARDS as u64);
+}
+
 /// Incrementality: a second checkpoint with no traffic in between
 /// re-encodes structure but not the event payloads the first already
 /// persisted, so its frames are strictly smaller — and recovery from

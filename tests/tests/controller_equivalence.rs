@@ -219,7 +219,11 @@ type GoldenRow = (
 );
 
 /// Golden rows captured from the pre-refactor per-key `AdaptiveCep`.
-/// See module docs.
+/// See module docs. The `kleene × greedy × {inv, uncond} × seed 2`
+/// trajectories were re-derived once, when the unary selectivity of
+/// `b.x > 0` became a count over the statistics window instead of a
+/// 16-event sample; they now equal seed 1's. Match counts, match hashes
+/// and replacement counts did not move.
 #[rustfmt::skip]
 const GOLDEN: &[GoldenRow] = &[
     ("seq", "greedy", "inv", 1, 27915, 0x99B3F20F1F8BAF9B, 0xDA12FF993AFCF6CD, 8),
@@ -252,8 +256,8 @@ const GOLDEN: &[GoldenRow] = &[
     ("negt", "zstream", "inv", 2, 1392, 0x539A100A237374BC, 0xF898923FEC59795E, 0),
     ("negt", "zstream", "uncond", 2, 1392, 0x539A100A237374BC, 0xF898923FEC59795E, 0),
     ("negt", "zstream", "static", 2, 1392, 0x539A100A237374BC, 0xF898923FEC59795E, 0),
-    ("kleene", "greedy", "inv", 2, 6944, 0x9E1A02DA73ED1AF3, 0xD863988C3C2F2F7A, 3),
-    ("kleene", "greedy", "uncond", 2, 6944, 0x9E1A02DA73ED1AF3, 0xD863988C3C2F2F7A, 3),
+    ("kleene", "greedy", "inv", 2, 6944, 0x9E1A02DA73ED1AF3, 0x509CB42C91E8C8DA, 3),
+    ("kleene", "greedy", "uncond", 2, 6944, 0x9E1A02DA73ED1AF3, 0x509CB42C91E8C8DA, 3),
     ("kleene", "greedy", "static", 2, 6944, 0x9E1A02DA73ED1AF3, 0x72516D96DCA36B12, 0),
     ("kleene", "zstream", "inv", 2, 6944, 0x9E1A02DA73ED1AF3, 0xFD5CAAA59855B805, 0),
     ("kleene", "zstream", "uncond", 2, 6944, 0x9E1A02DA73ED1AF3, 0xFF6C156CB5B088D0, 1),

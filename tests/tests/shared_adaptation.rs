@@ -16,6 +16,7 @@ use acep_stream::{
     StreamConfig,
 };
 use acep_types::{attr, Event, EventTypeId, Pattern, PatternExpr, Value};
+use acep_workloads::{iot_fleet, IotConfig};
 
 fn t(i: u32) -> EventTypeId {
     EventTypeId(i)
@@ -293,5 +294,55 @@ fn skew_shift_replans_per_controller_not_per_key() {
     assert!(
         stats.total_adaptation().plan_replacements > 0,
         "the mid-stream skew shift must trigger at least one re-plan"
+    );
+}
+
+/// `SEQ(T0, T1 spike, T2) WHERE T1.reading > 0` on the stationary IoT
+/// fleet: the lazy planner ranks T1 (rate ≈ 0.3 × selectivity 5/11)
+/// against T2 (rate ≈ 0.1), a gap of ≈ 1.3× — well outside the
+/// invariant distance 0.1 once the unary selectivity is counted over the
+/// statistics window, but not when it is read off a 16-event sample
+/// (σ ≈ 0.12 on 0.45), which flipped the trigger slot on noise: 185
+/// replacements and 245 triggers on this stream.
+#[test]
+fn stationary_unary_selectivity_does_not_flap() {
+    let iot = IotConfig {
+        devices: 2_000,
+        events: 40_000,
+        ..IotConfig::default()
+    };
+    let mut set = PatternSet::new(IotConfig::NUM_TYPES);
+    let q = set
+        .register(
+            "iot/seq3",
+            iot.pattern(),
+            AdaptiveConfig {
+                planner: PlannerKind::LazyChain,
+                policy: PolicyKind::invariant_with_distance(0.1),
+                ..AdaptiveConfig::default()
+            },
+        )
+        .unwrap();
+    let sink = Arc::new(CountingSink::new(set.len()));
+    let mut runtime = ShardedRuntime::new(
+        &set,
+        Arc::new(LastAttrKeyExtractor),
+        Arc::clone(&sink) as _,
+        StreamConfig {
+            shards: 1,
+            ..StreamConfig::default()
+        },
+    )
+    .unwrap();
+    for chunk in iot_fleet(&iot).chunks(4_096) {
+        runtime.push_batch(chunk);
+    }
+    let a = runtime.finish().adaptation(q);
+    assert!(a.decision_evals > 0, "the controller never ran");
+    assert!(
+        a.plan_replacements <= 2 && a.reopt_triggers <= 10,
+        "{} replacements and {} triggers on a stationary stream",
+        a.plan_replacements,
+        a.reopt_triggers
     );
 }
