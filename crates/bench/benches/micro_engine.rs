@@ -7,9 +7,20 @@
 //! benchmark's `adapt_order` (`traffic_and5`) and `stocks_hot`
 //! (`stocks_seq3`) patterns, for a candidate that joins (`hit`: window,
 //! chain walk, order and every condition run) and one that does not
-//! (`miss`). A sample is 1000 calls, so the printed µs read as ns per
-//! call; set them beside `core.keyed.ns_per_event × events ÷
-//! engine.comparisons` from a traced benchmark run.
+//! (`miss`). `compare/pair_flat` times the flat two-event kernel alone
+//! on the traffic pair group (two `Cmp`s, resolved once). A sample is
+//! 1000 calls, so the printed µs read as ns per call; set them beside
+//! `core.keyed.ns_per_event × events ÷ engine.comparisons` from a traced
+//! benchmark run.
+//!
+//! The `join/*` rows run one executor over the stationary traffic slice
+//! on the `traffic_and5` pattern — the tree executor under the bushy
+//! plan ZStream deploys on `adapt_tree`, `(((4,3),2),(1,0))`, and under
+//! the left-deep `((((4,3),2),1),0)`, and the order executor under the
+//! rare-first order — with the pass's comparison count as the
+//! throughput unit: `thrpt` reads comparisons per second, so
+//! `1000 / (M elem/s)` is ns per comparison, the whole join step
+//! (window, cross-pair tests, merges) included.
 
 #[path = "common.rs"]
 mod common;
@@ -17,11 +28,12 @@ mod common;
 use std::sync::Arc;
 
 use acep_engine::order_exec::compatible;
+use acep_engine::StepMasks;
 use acep_engine::{build_executor, ExecContext, MigratingExecutor, Partial, PartialStore};
-use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreePlan};
+use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreeNode, TreePlan};
 use acep_types::Event;
 use acep_workloads::{DatasetKind, PatternSetKind};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 /// Times `compatible` for extending a depth-2 partial (slots 0 and 1
 /// bound to the first joinable pair of `events`) at slot 2, once with a
@@ -32,28 +44,100 @@ fn bench_compare(c: &mut Criterion, name: &str, ctx: &ExecContext, events: &[Arc
             .iter()
             .filter(move |e| e.type_id == ctx.slot_types[slot])
     };
+    let order = [0, 1, 2];
+    let (step1, step2) = (ctx.order_step(&order, 1), ctx.order_step(&order, 2));
+    let ok = |store: &PartialStore, p: &Partial, slot, e, step: &StepMasks| {
+        compatible(ctx, store, p, slot, e, step, None)
+    };
     let mut store = PartialStore::new();
     let (partial, hit) = of_slot(0)
         .find_map(|e0| {
             let seed = Partial::seed(&mut store, 0, Arc::clone(e0));
-            let e1 = of_slot(1).find(|e1| compatible(ctx, &store, &seed, 1, e1, None))?;
+            let e1 = of_slot(1).find(|e1| ok(&store, &seed, 1, e1, &step1))?;
             let partial = seed.extend(&mut store, 1, Arc::clone(e1));
-            let hit = of_slot(2).find(|e2| compatible(ctx, &store, &partial, 2, e2, None))?;
+            let hit = of_slot(2).find(|e2| ok(&store, &partial, 2, e2, &step2))?;
             Some((partial, hit))
         })
         .expect("the stream holds a depth-3 join");
     let miss = of_slot(2)
-        .find(|e2| !compatible(ctx, &store, &partial, 2, e2, None))
+        .find(|e2| !ok(&store, &partial, 2, e2, &step2))
         .expect("the stream holds a non-joining candidate");
     for (outcome, cand) in [("hit", hit), ("miss", miss)] {
         c.bench_function(&format!("micro/engine/compare/{name}/{outcome}"), |b| {
             b.iter(|| {
                 (0..1000)
-                    .filter(|_| compatible(ctx, &store, &partial, 2, black_box(cand), None))
+                    .filter(|_| ok(&store, &partial, 2, black_box(cand), &step2))
                     .count()
             })
         });
     }
+}
+
+/// Times the flat pair kernel on the conditions between slots 1 and 2
+/// of `ctx`, resolved once, over the first event pair that satisfies
+/// them.
+fn bench_pair_flat(c: &mut Criterion, ctx: &ExecContext, events: &[Arc<Event>]) {
+    let group = ctx.pair_group(1, 2);
+    assert!(!group.is_empty(), "slots 1 and 2 carry a condition");
+    let of_slot = |slot: usize| {
+        events
+            .iter()
+            .filter(move |e| e.type_id == ctx.slot_types[slot])
+    };
+    let (lo, hi) = of_slot(1)
+        .find_map(|a| {
+            of_slot(2)
+                .find(|b| ctx.holds_pair_group(group, a, b))
+                .map(|b| (a, b))
+        })
+        .expect("the stream holds a joining pair");
+    c.bench_function("micro/engine/compare/pair_flat", |b| {
+        b.iter(|| {
+            (0..1000)
+                .filter(|_| ctx.holds_pair_group(group, black_box(lo), black_box(hi)))
+                .count()
+        })
+    });
+}
+
+/// `(((4,3),2),(1,0))`: the bushy plan ZStream deploys on `adapt_tree`.
+fn and5_bushy() -> TreePlan {
+    let mut nodes: Vec<TreeNode> = (0..5).map(|slot| TreeNode::Leaf { slot }).collect();
+    nodes.push(TreeNode::Internal { left: 4, right: 3 });
+    nodes.push(TreeNode::Internal { left: 5, right: 2 });
+    nodes.push(TreeNode::Internal { left: 1, right: 0 });
+    nodes.push(TreeNode::Internal { left: 6, right: 7 });
+    TreePlan { nodes, root: 8 }
+}
+
+/// Runs each join plan over `events`, reporting comparisons per second.
+fn bench_join(c: &mut Criterion, ctx: &Arc<ExecContext>, events: &[Arc<Event>]) {
+    let run = |plan: &EvalPlan| {
+        let mut exec = build_executor(Arc::clone(ctx), plan);
+        let mut out = Vec::new();
+        for ev in events {
+            exec.on_event(ev, &mut out);
+            out.clear();
+        }
+        exec.comparisons()
+    };
+    let plans = [
+        ("tree_and5_bushy", EvalPlan::Tree(and5_bushy())),
+        (
+            "tree_and5_left_deep",
+            EvalPlan::Tree(TreePlan::left_deep(&[4, 3, 2, 1, 0])),
+        ),
+        (
+            "order_and5",
+            EvalPlan::Order(OrderPlan::new(vec![4, 3, 2, 1, 0])),
+        ),
+    ];
+    let mut group = c.benchmark_group("micro/engine/join");
+    for (name, plan) in &plans {
+        group.throughput(Throughput::Elements(run(plan)));
+        group.bench_function(name, |b| b.iter(|| black_box(run(plan))));
+    }
+    group.finish();
 }
 
 fn bench(c: &mut Criterion) {
@@ -61,6 +145,8 @@ fn bench(c: &mut Criterion) {
     let and5 = scenario.pattern(PatternSetKind::Conjunction, 5);
     let and5_ctx = ExecContext::compile(&and5.canonical().branches[0]).unwrap();
     bench_compare(c, "traffic_and5", &and5_ctx, &events);
+    bench_pair_flat(c, &and5_ctx, &events);
+    bench_join(c, &and5_ctx, &events);
     let (stocks, stock_events) = common::inputs(DatasetKind::Stocks);
     let seq3 = stocks.pattern(PatternSetKind::Sequence, 3);
     let seq3_ctx = ExecContext::compile(&seq3.canonical().branches[0]).unwrap();

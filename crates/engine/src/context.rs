@@ -24,14 +24,80 @@
 //! all an `ExecContext` keeps of the predicates, which matters wherever
 //! engines (hence contexts) are built per partition key: context bytes
 //! are multiplied by the key count.
+//!
+//! # Step masks: which cross pairs a join step tests
+//!
+//! A join step binds new slots (one slot for the order and lazy
+//! executors, a subtree's slot set on the tree executor's new side)
+//! onto a partial whose bound slots are already mutually consistent.
+//! Of the cross pairs, [`ExecContext::step_masks`] keeps only those
+//! that can fail, as three bitmasks of bound slots:
+//!
+//! * **identity** — only slots of the same event type. A slot binds
+//!   only events of its type, so slots of different types can never
+//!   hold one event;
+//! * **order** — `SEQ` only, and only the bound slots next to a new one
+//!   in the pattern order of the union. Both sides are ordered by
+//!   construction and [`ExecContext::before`] is a strict total order,
+//!   so if every adjacent cross pair is in order, transitivity orders
+//!   the whole union;
+//! * **condition** — only slots whose pair group holds a condition.
+//!
+//! Every skipped test would have passed, so a step decides exactly what
+//! testing all pairs decided. Masks are `u64`s computed per step from
+//! the slot types and the table, outside the executors' inner loops and
+//! with no per-context or per-key storage; that is why a branch may
+//! have at most 64 positive slots.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use acep_types::{
-    AcepError, CondVars, Event, EventTypeId, Programs, SelectionPolicy, SubKind, SubPattern,
-    Timestamp, VarId,
+    AcepError, CondVars, Event, EventTypeId, PairGroup, Programs, SelectionPolicy, SubKind,
+    SubPattern, Timestamp, VarId,
 };
+
+/// Most positive slots a branch may have: step masks are `u64`
+/// bitmasks of slot indices (module docs).
+pub(crate) const MAX_SLOTS: usize = 64;
+
+/// The bound slots one join step has to test a new slot against, as
+/// bitmasks of slot indices (module docs: step masks).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepMasks {
+    /// Bound slots of a new slot's event type: the candidate must not
+    /// be the event already bound there.
+    pub identity: u64,
+    /// `SEQ` only: bound slots next to a new slot in the union's
+    /// pattern order, whose temporal order must be checked.
+    pub order: u64,
+    /// Bound slots that a condition links to a new slot.
+    pub cond: u64,
+}
+
+impl StepMasks {
+    /// Every bound slot with at least one test.
+    #[inline]
+    pub fn any(&self) -> u64 {
+        self.identity | self.order | self.cond
+    }
+}
+
+/// Bitmask of the slot indices in `slots` (each below [`MAX_SLOTS`]).
+#[inline]
+fn slot_mask(slots: &[usize]) -> u64 {
+    slots.iter().fold(0, |mask, &s| mask | 1 << s)
+}
+
+/// The set bits of `mask`, lowest first.
+#[inline]
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
 
 /// A negated-event guard compiled for execution.
 #[derive(Debug, Clone)]
@@ -99,6 +165,11 @@ impl ExecContext {
         policy: SelectionPolicy,
     ) -> Result<Arc<Self>, AcepError> {
         let n = sub.n();
+        if n > MAX_SLOTS {
+            return Err(AcepError::InvalidPattern(format!(
+                "at most {MAX_SLOTS} positive slots per branch are supported, got {n}"
+            )));
+        }
         let slot_types: Vec<EventTypeId> = sub.slots.iter().map(|s| s.event_type).collect();
         let kleene: Vec<bool> = sub.slots.iter().map(|s| s.kleene).collect();
         let vars: Vec<VarId> = sub.slots.iter().map(|s| s.var).collect();
@@ -123,7 +194,7 @@ impl ExecContext {
                     ));
                 }
                 // Only `lo < hi` carries conditions (the rest stay empty
-                // so that `pair_group` indexes directly), and only those
+                // so that `pair_index` indexes directly), and only those
                 // between two positive slots: a condition touching a
                 // negated var goes to its guard below.
                 let between = (lo < hi).then(|| sub.binary_conditions(lo, hi));
@@ -178,16 +249,30 @@ impl ExecContext {
         self.conds.holds_pair(slot, ev, ev)
     }
 
-    /// Program group of the conditions between slots `i` and `j`.
+    /// Program group index of the conditions between slots `i` and `j`.
     #[inline]
-    fn pair_group(&self, i: usize, j: usize) -> usize {
+    fn pair_index(&self, i: usize, j: usize) -> usize {
         self.n + i.min(j) * self.n + i.max(j)
     }
 
     /// True if any condition links slots `i` and `j`.
     #[inline]
     pub fn has_pair(&self, i: usize, j: usize) -> bool {
-        !self.conds.group_is_empty(self.pair_group(i, j))
+        !self.conds.group_is_empty(self.pair_index(i, j))
+    }
+
+    /// The conditions between slots `i` and `j`, resolved for
+    /// [`holds_pair_group`](Self::holds_pair_group).
+    #[inline]
+    pub fn pair_group(&self, i: usize, j: usize) -> PairGroup {
+        self.conds.pair_group(self.pair_index(i, j))
+    }
+
+    /// Does the resolved pair group hold with `lo` bound at the lower
+    /// of its two slots and `hi` at the higher?
+    #[inline]
+    pub fn holds_pair_group(&self, group: PairGroup, lo: &Event, hi: &Event) -> bool {
+        self.conds.holds_pair_group(group, lo, hi)
     }
 
     /// Do the conditions between slots `i` and `j` hold with `a` bound
@@ -195,20 +280,61 @@ impl ExecContext {
     #[inline]
     pub fn pair_ok(&self, i: usize, a: &Event, j: usize, b: &Event) -> bool {
         let (lo, hi) = if i < j { (a, b) } else { (b, a) };
-        self.conds.holds_pair(self.pair_group(i, j), lo, hi)
+        self.conds.holds_pair(self.pair_index(i, j), lo, hi)
     }
 
-    /// [`pair_ok`](Self::pair_ok) plus, for sequences, the temporal
-    /// order the two slots impose: may `a` at `i` and `b` at `j` be
-    /// part of one match?
+    /// Do `a` at `i` and `b` at `j` occur in the order their slots
+    /// have in the pattern (the `SEQ` constraint of one pair)?
     #[inline]
-    pub fn joinable(&self, i: usize, a: &Event, j: usize, b: &Event) -> bool {
-        let ordered = if i < j {
+    pub(crate) fn ordered(i: usize, a: &Event, j: usize, b: &Event) -> bool {
+        if i < j {
             Self::before(a, b)
         } else {
             Self::before(b, a)
-        };
-        (self.kind != SubKind::Sequence || ordered) && self.pair_ok(i, a, j, b)
+        }
+    }
+
+    /// The bound slots (bits of `bound`) that a step binding the slots
+    /// of `new` has to test (module docs: step masks). `new` and
+    /// `bound` are disjoint masks of join slots; the partial the step
+    /// forms binds `new | bound`.
+    pub fn step_masks(&self, new: u64, bound: u64) -> StepMasks {
+        debug_assert_eq!(new & bound, 0, "a step binds new slots only");
+        let mut masks = StepMasks::default();
+        for s in bits(new) {
+            for t in bits(bound) {
+                if self.slot_types[s] == self.slot_types[t] {
+                    masks.identity |= 1 << t;
+                }
+                if self.has_pair(s, t) {
+                    masks.cond |= 1 << t;
+                }
+            }
+        }
+        if self.kind == SubKind::Sequence {
+            let union = new | bound;
+            for t in bits(bound) {
+                let below = union & ((1 << t) - 1);
+                let above = union & (u64::MAX << t << 1);
+                let prev = (below != 0).then(|| 63 - below.leading_zeros());
+                let next = (above != 0).then(|| above.trailing_zeros());
+                if [prev, next]
+                    .into_iter()
+                    .flatten()
+                    .any(|u| new >> u & 1 == 1)
+                {
+                    masks.order |= 1 << t;
+                }
+            }
+        }
+        masks
+    }
+
+    /// [`step_masks`](Self::step_masks) of the order-style step that
+    /// binds `order[depth]` onto the slots `order[..depth]`.
+    #[inline]
+    pub fn order_step(&self, order: &[usize], depth: usize) -> StepMasks {
+        self.step_masks(1 << order[depth], slot_mask(&order[..depth]))
     }
 
     /// Groups of the conditions over 3+ variables, one per condition.
@@ -349,6 +475,64 @@ mod tests {
         assert_eq!(ctx.negated[0].before_slot, Some(1));
         // The A=B condition must not leak into the positive pair preds.
         assert!(!ctx.has_pair(0, 1));
+    }
+
+    #[test]
+    fn step_masks_name_only_the_pairs_that_can_fail() {
+        // SEQ(T0 a, T1 b, T0 c, T2 d) WHERE a.x < d.x.
+        let p = Pattern::builder("p")
+            .expr(PatternExpr::seq([
+                PatternExpr::prim(t(0)),
+                PatternExpr::prim(t(1)),
+                PatternExpr::prim(t(0)),
+                PatternExpr::prim(t(2)),
+            ]))
+            .condition(attr(0, 0).lt(attr(3, 0)))
+            .window(100)
+            .build()
+            .unwrap();
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        // Slot 2 onto {0, 1, 3}: identity only with the other T0 slot,
+        // order only with its neighbours 1 and 3, no condition.
+        let m = ctx.step_masks(0b0100, 0b1011);
+        assert_eq!((m.identity, m.order, m.cond), (0b0001, 0b1010, 0));
+        // Slot 3 onto {0}: the condition, and order with 0 — its only
+        // bound neighbour.
+        let m = ctx.step_masks(0b1000, 0b0001);
+        assert_eq!((m.identity, m.order, m.cond), (0, 0b0001, 0b0001));
+        // The tree's new side {0, 1} onto {2, 3}: only 2 neighbours the
+        // new side (via 1), 3 is linked by the condition.
+        let m = ctx.step_masks(0b0011, 0b1100);
+        assert_eq!((m.identity, m.order, m.cond), (0b0100, 0b0100, 0b1000));
+        assert_eq!(
+            ctx.order_step(&[3, 0, 2, 1], 2),
+            ctx.step_masks(0b0100, 0b1001)
+        );
+
+        // A conjunction has no order to check.
+        let p = Pattern::conjunction("p", &[t(0), t(1), t(0)], 100);
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let m = ctx.step_masks(0b001, 0b110);
+        assert_eq!((m.identity, m.order, m.cond), (0b100, 0, 0));
+        assert_eq!(m.any(), 0b100);
+    }
+
+    #[test]
+    fn more_than_64_positive_slots_are_refused() {
+        let types: Vec<EventTypeId> = (0..MAX_SLOTS as u32 + 1).map(t).collect();
+        let wide = Pattern::sequence("p", &types, 100);
+        let err = ExecContext::compile(&wide.canonical().branches[0]).unwrap_err();
+        assert!(matches!(err, AcepError::InvalidPattern(_)), "{err:?}");
+        let fits = Pattern::sequence("p", &types[..MAX_SLOTS], 100);
+        assert!(ExecContext::compile(&fits.canonical().branches[0]).is_ok());
+    }
+
+    #[test]
+    fn bits_and_slot_mask_round_trip() {
+        let slots = [0, 5, 63];
+        let mask = slot_mask(&slots);
+        assert_eq!(bits(mask).collect::<Vec<_>>(), slots);
+        assert_eq!(bits(0).count(), 0);
     }
 
     #[test]

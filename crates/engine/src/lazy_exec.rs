@@ -212,6 +212,7 @@ impl LazyExecutor {
                 continue;
             }
             let slot = self.join_order[depth];
+            let step = self.ctx.order_step(&self.join_order, depth);
             let depth_before = self.stack.len();
             for cand in self.buffers[depth].iter() {
                 self.comparisons += 1;
@@ -221,6 +222,7 @@ impl LazyExecutor {
                     &partial,
                     slot,
                     cand,
+                    &step,
                     self.finalizer.seen().as_deref(),
                 ) {
                     let ext = partial.extend(&mut self.store, slot, Arc::clone(cand));

@@ -56,7 +56,7 @@ pub mod tree_exec;
 
 pub use buffer::EventBuffer;
 pub use composite::StaticEngine;
-pub use context::{ExecContext, NegGuard};
+pub use context::{ExecContext, NegGuard, StepMasks};
 pub use executor::{build_executor, restore_executor, Executor};
 pub use finalize::{Completed, Finalizer, FinalizerHistory};
 pub use lazy_exec::LazyExecutor;

@@ -15,6 +15,15 @@
 //! The cascade runs on an explicit reusable stack (depth-first, in
 //! buffer order — the same order the recursive seed implementation
 //! produced), so the per-event hot path performs no `Vec` allocations.
+//!
+//! Extending a partial at plan position `d` is one join step: the new
+//! slot `order[d]` onto the bound slots `order[..d]`. Its step masks
+//! ([`ExecContext::order_step`]) are computed once per position — per
+//! arriving event in `process_at`, per popped partial in the cascade —
+//! and [`compatible`] tests only the bound slots they name: identity
+//! against slots of the candidate's type, `SEQ` order against the bound
+//! slots next to the new one, conditions against linked slots. Its chain
+//! walk stops once every masked slot has been seen.
 
 use std::sync::Arc;
 
@@ -26,7 +35,7 @@ use acep_types::faultpoint::{self, FaultPoint};
 use acep_types::{Event, Timestamp};
 
 use crate::buffer::EventBuffer;
-use crate::context::ExecContext;
+use crate::context::{ExecContext, StepMasks};
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
 use crate::matches::Match;
@@ -154,6 +163,7 @@ impl OrderExecutor {
         } else {
             let window = self.ctx.window;
             self.levels[pos - 1].retain(|p| !p.expired(now, window));
+            let step = self.ctx.order_step(&self.join_order, pos);
             // Extensions go straight onto the cascade stack (reversed, so
             // the depth-first drain visits them in stored-partial order).
             let depth_before = self.cascade_stack.len();
@@ -166,6 +176,7 @@ impl OrderExecutor {
                     &pm,
                     slot,
                     ev,
+                    &step,
                     self.finalizer.seen().as_deref(),
                 ) {
                     let ext = pm.extend(&mut self.store, slot, Arc::clone(ev));
@@ -191,6 +202,7 @@ impl OrderExecutor {
                 continue;
             }
             let slot = self.join_order[depth];
+            let step = self.ctx.order_step(&self.join_order, depth);
             let depth_before = self.cascade_stack.len();
             for ev in self.buffers[depth].iter() {
                 self.comparisons += 1;
@@ -200,6 +212,7 @@ impl OrderExecutor {
                     &partial,
                     slot,
                     ev,
+                    &step,
                     self.finalizer.seen().as_deref(),
                 ) {
                     let ext = partial.extend(&mut self.store, slot, Arc::clone(ev));
@@ -306,16 +319,20 @@ impl Executor for OrderExecutor {
     }
 }
 
-/// Full compatibility check for extending `partial` with `ev` at `slot`.
-/// `seen` (present only under restrictive selection policies) enables
-/// conservative policy pruning of the extension cascade. This is the
-/// unit the engines' `comparisons()` counter counts.
+/// Full compatibility check for extending `partial` with `ev` at `slot`,
+/// testing only the bound slots `step` names (the step's masks,
+/// [`ExecContext::order_step`]). `seen` (present only under restrictive
+/// selection policies) enables conservative policy pruning of the
+/// extension cascade. This is the unit the engines' `comparisons()`
+/// counter counts.
+#[inline]
 pub fn compatible(
     ctx: &ExecContext,
     store: &PartialStore,
     partial: &Partial,
     slot: usize,
     ev: &Arc<Event>,
+    step: &StepMasks,
     seen: Option<&SeenLog>,
 ) -> bool {
     // Window span.
@@ -324,14 +341,27 @@ pub fn compatible(
     if max_ts - min_ts > ctx.window || !ctx.unary_ok(slot, ev) {
         return false;
     }
-    // One walk over the chain: the candidate is not already bound, and
-    // against every bound event it respects the temporal order (for
-    // sequences) and the pairwise conditions.
-    if !partial
-        .chain(store)
-        .all(|(s, b)| b.seq != ev.seq && ctx.joinable(slot, ev, s, b))
-    {
-        return false;
+    // One walk over the chain, stopping once every masked slot has been
+    // seen: against each, the candidate is not the bound event, respects
+    // the temporal order and satisfies the pair conditions.
+    let mut left = step.any();
+    if left != 0 {
+        for (t, b) in partial.chain(store) {
+            let bit = 1 << t;
+            if left & bit == 0 {
+                continue;
+            }
+            if (step.identity & bit != 0 && b.seq == ev.seq)
+                || (step.order & bit != 0 && !ExecContext::ordered(slot, ev, t, b))
+                || (step.cond & bit != 0 && !ctx.pair_ok(slot, ev, t, b))
+            {
+                return false;
+            }
+            left &= !bit;
+            if left == 0 {
+                break;
+            }
+        }
     }
     // Selection-policy pruning: drop extensions every completion of
     // which would fail emit-time validation.

@@ -12,15 +12,33 @@
 //! instead of cloning an n-slot vector per merged result, and the
 //! leaf-to-root propagation ping-pongs between two reusable scratch
 //! vectors, so the per-event hot path performs no `Vec` allocations.
+//!
+//! # One join step
+//!
+//! Joining the partials new at a node against its sibling's stored
+//! results is one *step*. Before the step's loop the executor compiles
+//! the cross pairs it has to test — per sibling slot `t`, the new-side
+//! slots [`ExecContext::step_masks`] links to `t` (same type, adjacent
+//! in a sequence's order, or tied by a condition), each with its pair
+//! group resolved — from the two subtrees' slot masks, which are
+//! computed once per executor beside the parent/sibling links. Per new
+//! partial it then materialises the slot → event map once, walks each
+//! sibling partial's chain once testing only those pairs (stopping when
+//! every tested slot has been seen), collects the hits, and merges them
+//! afterwards in hit order. A tested slot's verdict depends only on the
+//! sibling event bound there, and the partials one earlier join stored
+//! are consecutive and share that event, so each tested slot remembers
+//! the verdict for the event it last saw and a run of such partials costs
+//! one test. Every attempt still counts one comparison.
 
 use std::sync::Arc;
 
 use acep_checkpoint::{CheckpointError, EventMap, EventTable, ExecutorRec, TreeExecRec};
 use acep_plan::{TreeNode, TreePlan};
 use acep_types::faultpoint::{self, FaultPoint};
-use acep_types::{Event, Timestamp};
+use acep_types::{Event, PairGroup, Timestamp};
 
-use crate::context::ExecContext;
+use crate::context::{bits, ExecContext, MAX_SLOTS};
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
 use crate::matches::Match;
@@ -29,6 +47,88 @@ use crate::selection::{prune_join, SeenLog};
 
 const SWEEP_INTERVAL: u32 = 256;
 
+/// Where a node of the pruned join tree sits.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Parent node (unused at the root).
+    parent: u32,
+    /// The parent's other child (unused at the root).
+    sibling: u32,
+    /// Join slots of the node's subtree.
+    slots: u64,
+}
+
+/// One cross pair a join step tests: slot `s` of the new side against
+/// slot `t` of the sibling side.
+#[derive(Debug, Clone, Copy)]
+struct CrossTest {
+    s: u8,
+    t: u8,
+    /// Same event type: the two must be different events.
+    identity: bool,
+    /// Adjacent in a sequence's order: the two must occur in slot
+    /// order.
+    order: bool,
+    /// The conditions between the two slots (empty: none).
+    cond: PairGroup,
+}
+
+impl CrossTest {
+    #[inline]
+    fn passes(&self, ctx: &ExecContext, a: &Event, b: &Event) -> bool {
+        let (s, t) = (self.s as usize, self.t as usize);
+        let (lo, hi) = if s < t { (a, b) } else { (b, a) };
+        (!self.identity || a.seq != b.seq)
+            && (!self.order || ExecContext::before(lo, hi))
+            && (self.cond.is_empty() || ctx.holds_pair_group(self.cond, lo, hi))
+    }
+}
+
+/// The compiled cross pairs of one join step.
+struct JoinStep<'a> {
+    /// Tests grouped by sibling slot.
+    tests: &'a [CrossTest],
+    /// `tests[ranges[t].0..ranges[t].1]` are the tests against sibling
+    /// slot `t`.
+    ranges: [(u16, u16); MAX_SLOTS],
+    /// Number of sibling slots with at least one test.
+    tested: usize,
+}
+
+impl<'a> JoinStep<'a> {
+    /// Compiles into `tests` the cross pairs of joining the slots `new`
+    /// onto the sibling's slots `bound` (module docs).
+    fn compile(ctx: &ExecContext, tests: &'a mut Vec<CrossTest>, new: u64, bound: u64) -> Self {
+        let mut ranges = [(0, 0); MAX_SLOTS];
+        let mut tested = 0;
+        tests.clear();
+        for t in bits(bound) {
+            // `t` as the step's new slot against everything else the
+            // join binds: the masks then name its partners on the new
+            // side.
+            let masks = ctx.step_masks(1 << t, (new | bound) & !(1 << t));
+            let lo = tests.len() as u16;
+            for s in bits(masks.any() & new) {
+                tests.push(CrossTest {
+                    s: s as u8,
+                    t: t as u8,
+                    identity: masks.identity >> s & 1 == 1,
+                    order: masks.order >> s & 1 == 1,
+                    cond: ctx.pair_group(s, t),
+                });
+            }
+            let hi = tests.len() as u16;
+            ranges[t] = (lo, hi);
+            tested += usize::from(lo < hi);
+        }
+        Self {
+            tests,
+            ranges,
+            tested,
+        }
+    }
+}
+
 /// Tree-plan executor for one sub-pattern.
 pub struct TreeExecutor {
     ctx: Arc<ExecContext>,
@@ -36,8 +136,8 @@ pub struct TreeExecutor {
     /// finalizer fills them in at emission).
     nodes: Vec<TreeNode>,
     root: usize,
-    parent: Vec<Option<usize>>,
-    sibling: Vec<Option<usize>>,
+    /// Per node: parent, sibling and subtree slots.
+    links: Vec<Link>,
     /// Result partials per node (single-event partials at leaves).
     store: Vec<Vec<Partial>>,
     /// Shared match buffer backing every stored partial.
@@ -46,6 +146,8 @@ pub struct TreeExecutor {
     prop_new: Vec<Partial>,
     /// Reusable propagation scratch: joins produced for the parent.
     prop_joined: Vec<Partial>,
+    /// Reusable scratch: the cross pairs of the current join step.
+    tests: Vec<CrossTest>,
     finalizer: Finalizer,
     comparisons: u64,
     events_since_sweep: u32,
@@ -57,15 +159,26 @@ impl TreeExecutor {
     pub fn new(ctx: Arc<ExecContext>, plan: &TreePlan) -> Self {
         assert_eq!(plan.num_leaves(), ctx.n, "plan must cover every slot");
         let (nodes, root) = prune_kleene(&ctx, plan);
-        let mut parent = vec![None; nodes.len()];
-        let mut sibling = vec![None; nodes.len()];
+        let mut links = vec![
+            Link {
+                parent: 0,
+                sibling: 0,
+                slots: 0,
+            };
+            nodes.len()
+        ];
+        // Children precede their parent in the pruned arena.
         for (i, n) in nodes.iter().enumerate() {
-            if let TreeNode::Internal { left, right } = n {
-                parent[*left] = Some(i);
-                parent[*right] = Some(i);
-                sibling[*left] = Some(*right);
-                sibling[*right] = Some(*left);
-            }
+            links[i].slots = match *n {
+                TreeNode::Leaf { slot } => 1 << slot,
+                TreeNode::Internal { left, right } => {
+                    links[left].parent = i as u32;
+                    links[right].parent = i as u32;
+                    links[left].sibling = right as u32;
+                    links[right].sibling = left as u32;
+                    links[left].slots | links[right].slots
+                }
+            };
         }
         Self {
             finalizer: Finalizer::new(Arc::clone(&ctx)),
@@ -73,11 +186,11 @@ impl TreeExecutor {
             pstore: PartialStore::new(),
             prop_new: Vec::new(),
             prop_joined: Vec::new(),
+            tests: Vec::new(),
             ctx,
             nodes,
             root,
-            parent,
-            sibling,
+            links,
             comparisons: 0,
             events_since_sweep: 0,
         }
@@ -142,30 +255,37 @@ impl TreeExecutor {
                 self.prop_new.clear();
                 return;
             }
-            let parent = self.parent[node].expect("non-root has a parent");
-            let sibling = self.sibling[node].expect("non-root has a sibling");
-            // Join new partials against the sibling's stored results.
+            let Link {
+                parent,
+                sibling,
+                slots,
+            } = self.links[node];
+            let sibling = sibling as usize;
             let window = self.ctx.window;
             self.store[sibling].retain(|p| !p.expired(now, window));
+            let bound = self.links[sibling].slots;
+            let step = JoinStep::compile(&self.ctx, &mut self.tests, slots, bound);
+            // Join new partials against the sibling's stored results.
             self.prop_joined.clear();
+            let seen = self.finalizer.seen();
             for a in &self.prop_new {
+                let mut probe = Probe::new(a, &self.pstore);
+                let hits = self.prop_joined.len();
                 for b in &self.store[sibling] {
-                    self.comparisons += 1;
-                    if join_compatible(
-                        &self.ctx,
-                        &self.pstore,
-                        a,
-                        b,
-                        self.finalizer.seen().as_deref(),
-                    ) {
-                        self.prop_joined.push(a.merge(&mut self.pstore, b));
+                    if probe.joins(&self.ctx, &step, b, seen.as_deref()) {
+                        self.prop_joined.push(*b);
                     }
                 }
+                for i in hits..self.prop_joined.len() {
+                    let b = self.prop_joined[i];
+                    self.prop_joined[i] = a.merge(&mut self.pstore, &b);
+                }
             }
+            self.comparisons += (self.prop_new.len() * self.store[sibling].len()) as u64;
             // Store for future joins from the sibling side.
             self.store[node].extend_from_slice(&self.prop_new);
             std::mem::swap(&mut self.prop_new, &mut self.prop_joined);
-            node = parent;
+            node = parent as usize;
         }
     }
 }
@@ -299,35 +419,86 @@ fn prune_rec(
     }
 }
 
-/// Can two partials with disjoint slot sets merge into one? `seen`
-/// (present only under restrictive selection policies) enables
-/// conservative policy pruning of the join.
-fn join_compatible(
-    ctx: &ExecContext,
-    store: &PartialStore,
-    a: &Partial,
-    b: &Partial,
-    seen: Option<&SeenLog>,
-) -> bool {
-    // Window span.
-    let min_ts = a.min_ts.min(b.min_ts);
-    let max_ts = a.max_ts.max(b.max_ts);
-    if max_ts - min_ts > ctx.window {
-        return false;
-    }
-    // One pass over the cross pairs: event-instance disjointness (types
-    // may repeat across slots), temporal order for sequences, and the
-    // conditions between the two sides.
-    for (s, ea) in a.chain(store) {
-        for (t, eb) in b.chain(store) {
-            if ea.seq == eb.seq || !ctx.joinable(s, ea, t, eb) {
-                return false;
-            }
+/// One new partial of a join step, prepared once for testing against
+/// every sibling partial: its slot → event map, and per tested sibling
+/// slot the verdict for the event last tested there. A sibling partial
+/// stored by one join is followed by its siblings from the same join,
+/// which share that event, so such a run is decided by one test.
+struct Probe<'a> {
+    store: &'a PartialStore,
+    partial: &'a Partial,
+    events: [Option<&'a Event>; MAX_SLOTS],
+    last: [Option<&'a Event>; MAX_SLOTS],
+    verdicts: u64,
+}
+
+impl<'a> Probe<'a> {
+    fn new(partial: &'a Partial, store: &'a PartialStore) -> Self {
+        let mut events = [None; MAX_SLOTS];
+        for (s, e) in partial.chain(store) {
+            events[s] = Some(&**e);
+        }
+        Self {
+            store,
+            partial,
+            events,
+            last: [None; MAX_SLOTS],
+            verdicts: 0,
         }
     }
-    // Selection-policy pruning: drop joins every completion of which
-    // would fail emit-time validation.
-    !seen.is_some_and(|seen| prune_join(ctx, seen, store, a, b))
+
+    /// Can the new partial merge with the sibling's partial `b`? Only
+    /// the step's cross pairs are tested. `seen` (present only under
+    /// restrictive selection policies) enables conservative policy
+    /// pruning of the join.
+    #[inline]
+    fn joins(
+        &mut self,
+        ctx: &ExecContext,
+        step: &JoinStep<'_>,
+        b: &Partial,
+        seen: Option<&SeenLog>,
+    ) -> bool {
+        let a = self.partial;
+        // Window span.
+        if a.max_ts.max(b.max_ts) - a.min_ts.min(b.min_ts) > ctx.window {
+            return false;
+        }
+        // One walk over `b`'s chain, stopping once every tested slot has
+        // been seen.
+        let mut left = step.tested;
+        if left > 0 {
+            for (t, eb) in b.chain(self.store) {
+                let (lo, hi) = step.ranges[t];
+                if lo == hi {
+                    continue;
+                }
+                let eb: &Event = eb;
+                let ok = if self.last[t].is_some_and(|last| std::ptr::eq(last, eb)) {
+                    self.verdicts >> t & 1 == 1
+                } else {
+                    let ok = step.tests[lo as usize..hi as usize].iter().all(|test| {
+                        let ea =
+                            self.events[test.s as usize].expect("new side binds its tested slots");
+                        test.passes(ctx, ea, eb)
+                    });
+                    self.last[t] = Some(eb);
+                    self.verdicts = self.verdicts & !(1 << t) | u64::from(ok) << t;
+                    ok
+                };
+                if !ok {
+                    return false;
+                }
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+        // Selection-policy pruning: drop joins every completion of which
+        // would fail emit-time validation.
+        !seen.is_some_and(|seen| prune_join(ctx, seen, self.store, a, b))
+    }
 }
 
 #[cfg(test)]

@@ -84,19 +84,23 @@ impl ExponentialHistogram {
 
     /// Replaces the bucket list with one captured by
     /// [`export_buckets`](Self::export_buckets); the running total is
-    /// recomputed. Fails if a size is not a power of two or the
-    /// timestamps are decreasing.
+    /// recomputed. Fails if a size is not a power of two, a size grows
+    /// toward the newest bucket, or the timestamps are decreasing — no
+    /// sequence of inserts produces such a list.
     pub fn import_buckets(&mut self, buckets: &[(u64, Timestamp)]) -> Result<(), &'static str> {
-        let mut prev_ts = 0;
+        let (mut prev_size, mut prev_ts) = (u64::MAX, 0);
         let mut total = 0u64;
         for &(size, ts) in buckets {
             if !size.is_power_of_two() {
                 return Err("dgim bucket size is not a power of two");
             }
+            if size > prev_size {
+                return Err("dgim bucket sizes grow toward the newest bucket");
+            }
             if ts < prev_ts {
                 return Err("dgim bucket timestamps decrease");
             }
-            prev_ts = ts;
+            (prev_size, prev_ts) = (size, ts);
             total = total
                 .checked_add(size)
                 .ok_or("dgim bucket total overflows")?;
@@ -130,51 +134,44 @@ impl ExponentialHistogram {
         }
     }
 
-    /// Drops buckets whose most recent arrival left the window.
+    /// Drops buckets whose most recent arrival left the window. Nothing
+    /// expires before a full window has elapsed, so arrivals at `ts = 0`
+    /// leave only once `now > window`.
     fn expire(&mut self, now: Timestamp) {
-        let cutoff = now.saturating_sub(self.window);
-        while let Some(front) = self.buckets.front() {
-            if front.ts <= cutoff && now >= self.window {
-                self.total -= front.size;
-                self.buckets.pop_front();
-            } else if front.ts <= cutoff && now < self.window {
-                // Window has not fully elapsed yet; ts == 0 arrivals only
-                // expire once now > window.
-                break;
-            } else {
-                break;
-            }
+        let Some(cutoff) = now.checked_sub(self.window) else {
+            return;
+        };
+        while let Some(front) = self.buckets.front().filter(|b| b.ts <= cutoff) {
+            self.total -= front.size;
+            self.buckets.pop_front();
         }
     }
 
     /// Restores the ≤ `max_per_size` buckets-per-size invariant by
     /// merging the two oldest buckets of any overfull size class.
+    ///
+    /// Sizes are non-increasing toward the back, so each size class is a
+    /// contiguous run ending where the next-smaller class starts. The
+    /// walk starts with the size-1 run at the back and moves one run
+    /// toward the front per merge: O(r) per insert for `r` =
+    /// `max_per_size`, not a rescan of every bucket per size.
     fn merge_cascade(&mut self) {
-        let mut size = 1u64;
+        let (mut size, mut end) = (1u64, self.buckets.len());
         loop {
-            // Buckets are stored oldest → newest and sizes are
-            // non-increasing toward the back, so all buckets of a size
-            // class are contiguous.
-            let mut count = 0usize;
-            let mut first_idx = None;
-            for (i, b) in self.buckets.iter().enumerate() {
-                if b.size == size {
-                    if first_idx.is_none() {
-                        first_idx = Some(i);
-                    }
-                    count += 1;
-                }
+            let mut start = end;
+            while start > 0 && self.buckets[start - 1].size == size {
+                start -= 1;
             }
-            if count <= self.max_per_size {
-                break;
+            if end - start <= self.max_per_size {
+                return;
             }
-            let i = first_idx.expect("count > 0 implies a first index");
-            // Merge buckets i and i+1 (the two oldest of this size).
-            let newer_ts = self.buckets[i + 1].ts;
-            self.buckets[i].size *= 2;
-            self.buckets[i].ts = newer_ts;
-            self.buckets.remove(i + 1);
-            size *= 2;
+            // Merge the two oldest buckets of this size; the merged one
+            // is the newest of the next size class.
+            let newer_ts = self.buckets[start + 1].ts;
+            self.buckets[start].size *= 2;
+            self.buckets[start].ts = newer_ts;
+            self.buckets.remove(start + 1);
+            (size, end) = (size * 2, start + 1);
         }
     }
 }
@@ -182,6 +179,67 @@ impl ExponentialHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The earlier cascade, kept as the reference: rescans every bucket
+    /// once per size class.
+    fn reference_merge_cascade(buckets: &mut VecDeque<Bucket>, max_per_size: usize) {
+        let mut size = 1u64;
+        loop {
+            let mut count = 0usize;
+            let mut first_idx = None;
+            for (i, b) in buckets.iter().enumerate() {
+                if b.size == size {
+                    first_idx.get_or_insert(i);
+                    count += 1;
+                }
+            }
+            if count <= max_per_size {
+                break;
+            }
+            let i = first_idx.expect("count > 0 implies a first index");
+            let newer_ts = buckets[i + 1].ts;
+            buckets[i].size *= 2;
+            buckets[i].ts = newer_ts;
+            buckets.remove(i + 1);
+            size *= 2;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every insert, the run-walking cascade leaves exactly the
+        /// buckets the full rescan leaves, through expiries and at every
+        /// `max_per_size`.
+        #[test]
+        fn run_walk_equals_the_full_rescan(
+            gaps in prop::collection::vec(0u64..40, 1..600),
+            window in 1u64..400,
+            max_per_size in 2usize..10,
+        ) {
+            let mut h = ExponentialHistogram::new(window, max_per_size);
+            let mut reference = ExponentialHistogram::new(window, max_per_size);
+            let mut ts = 0;
+            for gap in gaps {
+                ts += gap;
+                h.insert(ts);
+                reference.expire(ts);
+                reference.buckets.push_back(Bucket { size: 1, ts });
+                reference.total += 1;
+                reference_merge_cascade(&mut reference.buckets, max_per_size);
+                prop_assert_eq!(h.export_buckets(), reference.export_buckets());
+                prop_assert_eq!(h.count(ts), reference.count(ts));
+            }
+        }
+    }
+
+    #[test]
+    fn import_refuses_sizes_growing_toward_the_newest() {
+        let mut h = ExponentialHistogram::new(100, 2);
+        assert!(h.import_buckets(&[(2, 1), (1, 2), (1, 3)]).is_ok());
+        assert!(h.import_buckets(&[(1, 1), (2, 2)]).is_err());
+    }
 
     #[test]
     fn exact_when_few_events() {

@@ -72,7 +72,7 @@ pub use partition::{
 };
 pub use pattern::{Pattern, PatternBuilder, PatternExpr};
 pub use predicate::{attr, attr_plus, constant, CmpOp, Operand, Predicate, VarId};
-pub use program::Programs;
+pub use program::{PairGroup, Programs};
 pub use schema::{AttrId, EventSchema, SchemaRegistry};
 pub use selection::SelectionPolicy;
 pub use value::Value;

@@ -16,9 +16,26 @@
 //! over the two events they touch ([`Programs::holds_pair`]); only
 //! conditions over three or more variables need a slot-indexed frame.
 //!
+//! # The flat pair kernel
+//!
+//! Almost every pair condition is a plain conjunction of comparisons
+//! (`a.x < b.x AND a.y < b.y`). Such a group is marked *flat* when it is
+//! pushed — in the high bit of its offset-table entry, so the table is
+//! not one byte larger — and [`Programs::holds_pair`] runs it through a
+//! two-event kernel: each operand is picked off `a`, `b` or the
+//! constants by its frame position directly (no closure, no `Option`
+//! frame), and `Int`/`Int` and `Float`/`Float` comparisons skip the
+//! generic [`Value::compare`] dispatch. Every other group goes through
+//! the recursive walker. A caller testing one group on many event pairs
+//! resolves it once ([`Programs::pair_group`]) and evaluates the
+//! [`PairGroup`] handle ([`Programs::holds_pair_group`]), so its inner
+//! loop repeats neither the offset lookup nor the flatness test.
+//!
 //! Evaluation is *conservative*: a comparison over an unbound variable,
 //! a missing attribute, or incomparable value types (including NaN) is
 //! `false`, so `Not` of such a comparison is `true`.
+
+use std::cmp::Ordering;
 
 use crate::event::Event;
 use crate::predicate::{CmpOp, Operand, Predicate, VarId};
@@ -26,6 +43,10 @@ use crate::value::Value;
 
 /// Frame position standing for the table's own constants.
 const CONSTS: u32 = u32::MAX;
+
+/// High bit of an offset-table entry: the group starting there is a
+/// non-empty conjunction of [`Op::Cmp`] only.
+const FLAT: u32 = 1 << 31;
 
 /// One side of a compiled comparison: attribute `attr` of the event at
 /// frame position `pos` (or constant `attr` of the table at [`CONSTS`]),
@@ -61,10 +82,36 @@ enum Op {
 #[derive(Debug, Clone)]
 pub struct Programs {
     ops: Vec<Op>,
-    /// Group `g` is `ops[starts[g]..starts[g + 1]]`.
+    /// Group `g` is `ops[starts[g]..starts[g + 1]]` (offsets without
+    /// the [`FLAT`] bit, which `starts[g]` carries for a flat group).
     starts: Vec<u32>,
     /// The literals the ops compare against.
     consts: Vec<Value>,
+}
+
+/// A group resolved for evaluation over many event pairs
+/// ([`Programs::pair_group`]): its op range, flatness included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairGroup {
+    /// First op, with [`FLAT`] set for a flat group.
+    start: u32,
+    end: u32,
+}
+
+impl PairGroup {
+    /// True if the group holds no condition (and therefore always
+    /// holds).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.start & !FLAT == self.end
+    }
+
+    /// True if the group runs through the two-event kernel (a non-empty
+    /// conjunction of comparisons).
+    #[inline]
+    pub fn is_flat(self) -> bool {
+        self.start & FLAT != 0
+    }
 }
 
 impl Default for Programs {
@@ -96,8 +143,14 @@ impl Programs {
         predicates: impl IntoIterator<Item = &'p Predicate>,
         frame: &[VarId],
     ) -> usize {
+        let start = self.ops.len();
         for p in predicates {
             self.lower(p, frame);
+        }
+        assert!(self.ops.len() < FLAT as usize, "condition table too large");
+        let ops = &self.ops[start..];
+        if !ops.is_empty() && ops.iter().all(|op| matches!(op, Op::Cmp { .. })) {
+            *self.starts.last_mut().expect("offset table is never empty") |= FLAT;
         }
         self.starts.push(self.ops.len() as u32);
         self.len() - 1
@@ -171,36 +224,93 @@ impl Programs {
     /// True if `group` holds no condition (and therefore always holds).
     #[inline]
     pub fn group_is_empty(&self, group: usize) -> bool {
-        self.starts[group] == self.starts[group + 1]
+        self.pair_group(group).is_empty()
+    }
+
+    /// Resolves `group` for [`holds_pair_group`](Self::holds_pair_group).
+    #[inline]
+    pub fn pair_group(&self, group: usize) -> PairGroup {
+        PairGroup {
+            start: self.starts[group],
+            end: self.starts[group + 1] & !FLAT,
+        }
     }
 
     /// Does every condition of `group` hold over the events `frame`
     /// maps positions to?
     #[inline]
     pub fn holds<'a>(&'a self, group: usize, frame: impl Fn(usize) -> Option<&'a Event>) -> bool {
-        let (start, end) = (self.starts[group], self.starts[group + 1]);
-        // Most groups of a table are empty (few slot pairs carry a
-        // condition): answer those without leaving the caller.
-        start == end || self.all_hold(&self.ops[start as usize..end as usize], frame)
-    }
-
-    fn all_hold<'a>(&'a self, ops: &[Op], frame: impl Fn(usize) -> Option<&'a Event>) -> bool {
-        // Fast path for the common shape, a flat conjunction of
-        // comparisons; the first combinator hands over to the walker.
-        for (i, node) in ops.iter().enumerate() {
-            match node {
-                Op::Cmp { lhs, rhs, accept } if self.compare(lhs, rhs, *accept, &frame) => {}
-                Op::Cmp { .. } => return false,
-                _ => return !self.any_is(&ops[i..], &frame, false),
-            }
+        let g = self.pair_group(group);
+        let ops = &self.ops[(g.start & !FLAT) as usize..g.end as usize];
+        if g.is_flat() {
+            return ops.iter().all(|op| {
+                matches!(op, Op::Cmp { lhs, rhs, accept } if self.compare(lhs, rhs, *accept, &frame))
+            });
         }
-        true
+        // Most groups of a table are empty (few slot pairs carry a
+        // condition): answer those without entering the walker.
+        ops.is_empty() || !self.any_is(ops, &frame, false)
     }
 
     /// [`holds`](Self::holds) over the two-entry frame `(a, b)`.
     #[inline]
     pub fn holds_pair(&self, group: usize, a: &Event, b: &Event) -> bool {
-        self.holds(group, |pos| Some(if pos == 0 { a } else { b }))
+        self.holds_pair_group(self.pair_group(group), a, b)
+    }
+
+    /// [`holds_pair`](Self::holds_pair) for a resolved group: a flat
+    /// group runs the two-event kernel (module docs), any other the
+    /// walker.
+    #[inline]
+    pub fn holds_pair_group(&self, group: PairGroup, a: &Event, b: &Event) -> bool {
+        if !group.is_flat() {
+            return group.start == group.end || self.walk_pair(group, a, b);
+        }
+        self.flat_pair(group, a, b)
+    }
+
+    #[inline(never)]
+    fn flat_pair(&self, group: PairGroup, a: &Event, b: &Event) -> bool {
+        let ops = &self.ops[(group.start & !FLAT) as usize..group.end as usize];
+        ops.iter().all(|op| match op {
+            Op::Cmp { lhs, rhs, accept } => self.compare_pair(lhs, rhs, *accept, a, b),
+            _ => unreachable!("a flat group holds comparisons only"),
+        })
+    }
+
+    /// A non-flat group over `(a, b)`, through the walker.
+    #[inline(never)]
+    fn walk_pair(&self, group: PairGroup, a: &Event, b: &Event) -> bool {
+        let ops = &self.ops[group.start as usize..group.end as usize];
+        !self.any_is(ops, &|pos| Some(if pos == 0 { a } else { b }), false)
+    }
+
+    /// The two-event kernel's operand load: position 0 is `a`, the
+    /// constants are the table's, any other position is `b`.
+    #[inline(always)]
+    fn pick<'a>(&'a self, arg: &Arg, a: &'a Event, b: &'a Event) -> Option<&'a Value> {
+        let attrs = if arg.pos == CONSTS {
+            &self.consts
+        } else if arg.pos == 0 {
+            &a.attrs
+        } else {
+            &b.attrs
+        };
+        attrs.get(arg.attr as usize)
+    }
+
+    #[inline(always)]
+    fn compare_pair(&self, lhs: &Arg, rhs: &Arg, accept: u8, a: &Event, b: &Event) -> bool {
+        let (Some(x), Some(y)) = (self.pick(lhs, a, b), self.pick(rhs, a, b)) else {
+            return false;
+        };
+        let ord = match (x, y) {
+            _ if lhs.shift.is_some() || rhs.shift.is_some() => ordering(x, y, lhs, rhs),
+            (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
+            (Value::Float(x), Value::Float(y)) => x.partial_cmp(y),
+            _ => x.compare(y),
+        };
+        ord.is_some_and(|ord| accepts(accept, ord))
     }
 
     #[inline]
@@ -228,15 +338,7 @@ impl Programs {
         let (Some(a), Some(b)) = (self.load(lhs, frame), self.load(rhs, frame)) else {
             return false;
         };
-        let ord = match (lhs.shift, rhs.shift) {
-            (None, None) => a.compare(b),
-            // A shifted side is a float, comparable with numbers only.
-            (l, r) => a
-                .as_f64()
-                .zip(b.as_f64())
-                .and_then(|(a, b)| (a + l.unwrap_or(0.0)).partial_cmp(&(b + r.unwrap_or(0.0)))),
-        };
-        ord.is_some_and(|ord| accept >> (ord as i8 + 1) & 1 == 1)
+        ordering(a, b, lhs, rhs).is_some_and(|ord| accepts(accept, ord))
     }
 
     /// Does any of the sibling nodes in `ops` evaluate to `target`?
@@ -265,4 +367,22 @@ impl Programs {
         }
         false
     }
+}
+
+/// `x` against `y` as the operands `lhs` / `rhs` read them: a shifted
+/// side is a float, comparable with numbers only. `None` = incomparable.
+#[inline(always)]
+fn ordering(x: &Value, y: &Value, lhs: &Arg, rhs: &Arg) -> Option<Ordering> {
+    match (lhs.shift, rhs.shift) {
+        (None, None) => x.compare(y),
+        (l, r) => x
+            .as_f64()
+            .zip(y.as_f64())
+            .and_then(|(x, y)| (x + l.unwrap_or(0.0)).partial_cmp(&(y + r.unwrap_or(0.0)))),
+    }
+}
+
+#[inline(always)]
+fn accepts(accept: u8, ord: Ordering) -> bool {
+    accept >> (ord as i8 + 1) & 1 == 1
 }

@@ -131,17 +131,9 @@ fn nan_and_cross_type_comparisons_are_false_for_every_operator() {
         Value::Int(7),
         Value::Bool(true),
     ]);
-    let ops = [
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-        CmpOp::Eq,
-        CmpOp::Ne,
-    ];
     // NaN vs itself / a number, Str vs numeric, Bool vs numeric, Str vs Bool.
     for (l, r) in [(0, 0), (0, 2), (1, 2), (3, 2), (1, 3)] {
-        for op in ops {
+        for op in OPS {
             assert!(!holds(&Predicate::cmp(attr(0, l), op, attr(0, r)), &a, &a));
         }
     }
@@ -187,6 +179,15 @@ fn reference(p: &Predicate, frame: &[(VarId, &Event)]) -> bool {
     }
 }
 
+const OPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
 /// Decodes generated choices into values, operands and trees.
 struct Tape<'a>(std::slice::Iter<'a, u32>);
 
@@ -220,18 +221,14 @@ impl Tape<'_> {
         }
     }
 
+    fn cmp_op(&mut self) -> CmpOp {
+        OPS[self.next(6) as usize]
+    }
+
     fn predicate(&mut self, depth: u32) -> Predicate {
-        let ops = [
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-            CmpOp::Eq,
-            CmpOp::Ne,
-        ];
         match self.next(if depth == 0 { 5 } else { 9 }) {
             0 => Predicate::True,
-            1..=4 => Predicate::cmp(self.operand(), ops[self.next(6) as usize], self.operand()),
+            1..=4 => Predicate::cmp(self.operand(), self.cmp_op(), self.operand()),
             5 | 6 => Predicate::And(
                 (0..self.next(4))
                     .map(|_| self.predicate(depth - 1))
@@ -247,8 +244,74 @@ impl Tape<'_> {
     }
 }
 
+/// Every operator over every pairing of value kinds, each as a
+/// one-comparison (flat) group: the kernel agrees with the reference,
+/// with the operands in either order and taken from either event.
+#[test]
+fn flat_kernel_agrees_with_the_reference_on_every_operator_and_kind() {
+    let values = [
+        Value::Int(2),
+        Value::Int(3),
+        Value::Float(2.5),
+        Value::Float(3.0),
+        Value::Float(f64::NAN),
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::from("a"),
+        Value::from("b"),
+    ];
+    let (a, b) = (
+        ev(values.to_vec()),
+        ev(values.iter().rev().cloned().collect()),
+    );
+    let frame = [(VarId(0), &*a), (VarId(1), &*b)];
+    let mut conds = Programs::default();
+    for l in 0..values.len() {
+        for (r, rv) in values.iter().enumerate() {
+            for op in OPS {
+                for p in [
+                    Predicate::cmp(attr(0, l), op, attr(1, r)),
+                    Predicate::cmp(attr(1, r), op, attr(0, l)),
+                    Predicate::cmp(attr(0, l), op, Operand::Const(rv.clone())),
+                    Predicate::cmp(Operand::Const(rv.clone()), op, attr(1, l)),
+                ] {
+                    let g = conds.push_group([&p], &[VarId(0), VarId(1)]);
+                    assert!(conds.pair_group(g).is_flat());
+                    assert_eq!(conds.holds_pair(g, &a, &b), reference(&p, &frame), "{p:?}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Flat groups — conjunctions of one to four comparisons with
+    /// `Int` / `Float` / mixed / NaN / `Bool` / `Str` values, a missing
+    /// attribute, a variable outside the frame, shifted operands and
+    /// constants on either side, under every operator — evaluate through
+    /// the two-event kernel exactly as the recursive reference reads
+    /// them, by group index and by resolved handle alike.
+    #[test]
+    fn flat_kernel_agrees_with_the_recursive_reference(
+        choices in prop::collection::vec(0u32..1_000_000, 64),
+    ) {
+        let mut tape = Tape(choices.iter());
+        let a = ev((0..3).map(|_| tape.value()).collect());
+        let b = ev((0..3).map(|_| tape.value()).collect());
+        let preds: Vec<Predicate> = (0..1 + tape.next(4))
+            .map(|_| Predicate::cmp(tape.operand(), tape.cmp_op(), tape.operand()))
+            .collect();
+        let frame = [(VarId(0), &*a), (VarId(1), &*b)];
+        let mut conds = Programs::default();
+        let g = conds.push_group(&preds, &[VarId(0), VarId(1)]);
+        let resolved = conds.pair_group(g);
+        prop_assert!(resolved.is_flat());
+        let expected = preds.iter().all(|p| reference(p, &frame));
+        prop_assert_eq!(conds.holds_pair(g, &a, &b), expected, "{:?}", preds);
+        prop_assert_eq!(conds.holds_pair_group(resolved, &a, &b), expected, "{:?}", preds);
+    }
 
     #[test]
     fn compiled_form_agrees_with_the_recursive_reference(

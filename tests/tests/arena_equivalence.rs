@@ -113,6 +113,35 @@ fn kleene_pattern() -> Pattern {
         .unwrap()
 }
 
+/// SEQ(T0 a, T1 b, T0 c) WHERE a.x <= c.x WITHIN 50 — one type in two
+/// slots, tied by a condition an event satisfies with itself.
+fn seq_repeat_pattern() -> Pattern {
+    Pattern::builder("eq-seq-rep")
+        .expr(PatternExpr::seq([
+            PatternExpr::prim(t(0)),
+            PatternExpr::prim(t(1)),
+            PatternExpr::prim(t(0)),
+        ]))
+        .condition(attr(0, 0).le(attr(2, 0)))
+        .window(WINDOW)
+        .build()
+        .unwrap()
+}
+
+/// AND(T0 a, T0 b, T1 c) WHERE a.x <= b.x WITHIN 50.
+fn and_repeat_pattern() -> Pattern {
+    Pattern::builder("eq-and-rep")
+        .expr(PatternExpr::and([
+            PatternExpr::prim(t(0)),
+            PatternExpr::prim(t(0)),
+            PatternExpr::prim(t(1)),
+        ]))
+        .condition(attr(0, 0).le(attr(1, 0)))
+        .window(WINDOW)
+        .build()
+        .unwrap()
+}
+
 /// Deterministic pseudo-random stream: `n` events over `types` event
 /// types, timestamp gaps in `1..=8`, one integer attribute in `-5..5`.
 fn lcg_events(n: usize, types: u32, seed: u64) -> Vec<Arc<Event>> {
@@ -153,7 +182,8 @@ fn plans3() -> Vec<(&'static str, EvalPlan)> {
 }
 
 /// Runs one branch pattern under `plan`, returning the sorted match
-/// keys and the executor's total comparison count.
+/// keys and the executor's total comparison count. No match may bind
+/// one event in two slots.
 fn run_one(pattern: &Pattern, plan: &EvalPlan, events: &[Arc<Event>]) -> (Vec<MatchKey>, u64) {
     let ctx = ExecContext::compile(&pattern.canonical().branches[0]).unwrap();
     let mut exec = build_executor(ctx, plan);
@@ -162,6 +192,17 @@ fn run_one(pattern: &Pattern, plan: &EvalPlan, events: &[Arc<Event>]) -> (Vec<Ma
         exec.on_event(ev, &mut out);
     }
     exec.finish(&mut out);
+    for m in &out {
+        let mut seqs: Vec<u64> = m
+            .bindings
+            .iter()
+            .flat_map(|(_, evs)| evs.iter().map(|e| e.seq))
+            .collect();
+        let bound = seqs.len();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs.len(), bound, "{plan:?} bound one event twice");
+    }
     let comparisons = exec.comparisons();
     let mut keys: Vec<MatchKey> = out.iter().map(Match::key).collect();
     keys.sort();
@@ -184,6 +225,9 @@ fn run_or(pattern: &Pattern, plans: &[EvalPlan], events: &[Arc<Event>]) -> (Vec<
 
 /// Golden `(pattern, plan, seed) -> (matches, comparisons)` rows,
 /// captured from the seed (pre-arena) implementation. See module docs.
+/// The `seq-rep` / `and-rep` rows (one event type in two slots) were
+/// captured on the build that still tested every cross pair of a join
+/// step, before step masks limited identity tests to same-type slots.
 const GOLDEN: &[(&str, &str, u64, usize, u64)] = &[
     ("seq", "order-012", 1, 384, 4040),
     ("seq", "order-210", 1, 384, 4025),
@@ -201,6 +245,14 @@ const GOLDEN: &[(&str, &str, u64, usize, u64)] = &[
     ("neg-trail", "tree", 1, 109, 3616),
     ("kleene", "order-01", 1, 260, 3370),
     ("kleene", "tree", 1, 260, 3387),
+    ("seq-rep", "order-012", 1, 510, 4739),
+    ("seq-rep", "order-210", 1, 510, 4669),
+    ("seq-rep", "tree-left", 1, 510, 4548),
+    ("seq-rep", "tree-right", 1, 510, 4346),
+    ("and-rep", "order-012", 1, 2975, 5005),
+    ("and-rep", "order-210", 1, 2975, 8180),
+    ("and-rep", "tree-left", 1, 2975, 4608),
+    ("and-rep", "tree-right", 1, 2975, 7577),
     ("seq", "order-012", 2, 463, 4594),
     ("seq", "order-210", 2, 463, 4329),
     ("seq", "tree-left", 2, 463, 4237),
@@ -217,6 +269,14 @@ const GOLDEN: &[(&str, &str, u64, usize, u64)] = &[
     ("neg-trail", "tree", 2, 139, 4128),
     ("kleene", "order-01", 2, 261, 3476),
     ("kleene", "tree", 2, 261, 3469),
+    ("seq-rep", "order-012", 2, 593, 5640),
+    ("seq-rep", "order-210", 2, 593, 5874),
+    ("seq-rep", "tree-left", 2, 593, 5325),
+    ("seq-rep", "tree-right", 2, 593, 5440),
+    ("and-rep", "order-012", 2, 3561, 5738),
+    ("and-rep", "order-210", 2, 3561, 10088),
+    ("and-rep", "tree-left", 2, 3561, 5279),
+    ("and-rep", "tree-right", 2, 3561, 9188),
 ];
 
 /// Computes every golden row from the current implementation.
@@ -232,6 +292,15 @@ fn compute_rows() -> Vec<(&'static str, String, u64, usize, u64)> {
         for (name, plan) in plans3() {
             let (keys, comps) = run_one(&and_pattern(), &plan, &events);
             rows.push(("and", name.to_string(), seed, keys.len(), comps));
+        }
+        for (label, pattern) in [
+            ("seq-rep", seq_repeat_pattern()),
+            ("and-rep", and_repeat_pattern()),
+        ] {
+            for (name, plan) in plans3() {
+                let (keys, comps) = run_one(&pattern, &plan, &events);
+                rows.push((label, name.to_string(), seed, keys.len(), comps));
+            }
         }
 
         let or_order = [
@@ -314,6 +383,8 @@ proptest! {
             interior_neg_pattern(),
             trailing_neg_pattern(),
             kleene_pattern(),
+            seq_repeat_pattern(),
+            and_repeat_pattern(),
         ] {
             let slot_count = pattern.canonical().branches[0].n();
             let order = EvalPlan::Order(OrderPlan::identity(slot_count));

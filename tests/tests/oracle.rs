@@ -2,7 +2,8 @@
 //! produce exactly the match set of a naive enumerator that checks every
 //! event combination against the pattern semantics directly.
 //!
-//! Coverage spans the full operator language: `SEQ` and `AND` joins,
+//! Coverage spans the full operator language: `SEQ` and `AND` joins
+//! (including one event type in two slots),
 //! top-level `OR` (evaluated branch-per-executor), negation (`~`) both
 //! interior and trailing (the trailing form exercises the finalizer's
 //! pending-deadline queue), and Kleene closure (`*`) with maximal-set
@@ -125,6 +126,38 @@ fn kleene_pattern() -> Pattern {
         .unwrap()
 }
 
+/// SEQ(T0 a, T1 b, T0 c) WHERE a.x <= c.x WITHIN 50 — one type in two
+/// slots. The condition holds for `a = c`; only the sequence order keeps
+/// one event out of both slots.
+fn seq_repeat_pattern() -> Pattern {
+    Pattern::builder("oracle-seq-rep")
+        .expr(PatternExpr::seq([
+            PatternExpr::prim(EventTypeId(0)),
+            PatternExpr::prim(EventTypeId(1)),
+            PatternExpr::prim(EventTypeId(0)),
+        ]))
+        .condition(attr(0, 0).le(attr(2, 0)))
+        .window(WINDOW)
+        .build()
+        .unwrap()
+}
+
+/// AND(T0 a, T0 b, T1 c) WHERE a.x <= b.x WITHIN 50 — the condition
+/// holds for `a = b`; only the identity test between the two T0 slots
+/// keeps one event out of both.
+fn and_repeat_pattern() -> Pattern {
+    Pattern::builder("oracle-and-rep")
+        .expr(PatternExpr::and([
+            PatternExpr::prim(EventTypeId(0)),
+            PatternExpr::prim(EventTypeId(0)),
+            PatternExpr::prim(EventTypeId(1)),
+        ]))
+        .condition(attr(0, 0).le(attr(1, 0)))
+        .window(WINDOW)
+        .build()
+        .unwrap()
+}
+
 fn make_events(spec: &[(u8, u8, i8)]) -> Vec<Arc<Event>> {
     let mut ts = 0u64;
     spec.iter()
@@ -168,6 +201,38 @@ fn run_engine_policy(
     }
     exec.finish(&mut out);
     sorted_keys(&out)
+}
+
+/// Runs a single-branch pattern under `plan` and returns the emitted
+/// keys *without* deduplication, asserting that no match binds one event
+/// in two slots.
+fn run_engine_multiset(pattern: &Pattern, plan: &EvalPlan, events: &[Arc<Event>]) -> Vec<MatchKey> {
+    let ctx = ExecContext::compile(&pattern.canonical().branches[0]).unwrap();
+    let mut exec = build_executor(ctx, plan);
+    let mut out = Vec::new();
+    for ev in events {
+        exec.on_event(ev, &mut out);
+    }
+    exec.finish(&mut out);
+    for m in &out {
+        let mut seqs: Vec<u64> = m
+            .bindings
+            .iter()
+            .flat_map(|(_, evs)| evs.iter().map(|e| e.seq))
+            .collect();
+        let bound = seqs.len();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(
+            seqs.len(),
+            bound,
+            "plan {} bound one event twice",
+            plan.describe()
+        );
+    }
+    let mut keys: Vec<MatchKey> = out.iter().map(Match::key).collect();
+    keys.sort();
+    keys
 }
 
 /// Evaluates every branch of a (possibly disjunctive) pattern with one
@@ -468,6 +533,51 @@ fn oracle_kleene(events: &[Arc<Event>], policy: SelectionPolicy) -> Vec<MatchKey
     sort_dedup(keys)
 }
 
+/// Naive oracle for SEQ(T0 a, T1 b, T0 c) WHERE a.x <= c.x.
+fn oracle_seq_repeat(events: &[Arc<Event>]) -> Vec<MatchKey> {
+    let mut keys = Vec::new();
+    for a in of_type(events, 0) {
+        for b in of_type(events, 1) {
+            for c in of_type(events, 0) {
+                if before(a, b)
+                    && before(b, c)
+                    && c.timestamp - a.timestamp <= WINDOW
+                    && x(a) <= x(c)
+                {
+                    keys.push(MatchKey::from_parts(vec![
+                        (0, vec![a.seq]),
+                        (1, vec![b.seq]),
+                        (2, vec![c.seq]),
+                    ]));
+                }
+            }
+        }
+    }
+    sort_dedup(keys)
+}
+
+/// Naive oracle for AND(T0 a, T0 b, T1 c) WHERE a.x <= b.x: `a` and `b`
+/// are distinct events in either arrival order.
+fn oracle_and_repeat(events: &[Arc<Event>]) -> Vec<MatchKey> {
+    let mut keys = Vec::new();
+    for a in of_type(events, 0) {
+        for b in of_type(events, 0) {
+            for c in of_type(events, 1) {
+                let ts = [a.timestamp, b.timestamp, c.timestamp];
+                let span = ts.iter().max().unwrap() - ts.iter().min().unwrap();
+                if a.seq != b.seq && span <= WINDOW && x(a) <= x(b) {
+                    keys.push(MatchKey::from_parts(vec![
+                        (0, vec![a.seq]),
+                        (1, vec![b.seq]),
+                        (2, vec![c.seq]),
+                    ]));
+                }
+            }
+        }
+    }
+    sort_dedup(keys)
+}
+
 /// Order, tree, and lazy plans covering both ends of a
 /// 2-positive-slot branch.
 fn two_slot_plans() -> [EvalPlan; 5] {
@@ -603,6 +713,30 @@ proptest! {
         for plan in &two_slot_plans() {
             let got = run_engine(&p, plan, &events);
             prop_assert_eq!(&got, &expected, "plan {} diverged", plan.describe());
+        }
+    }
+
+    /// One event type in two slots, tied by a condition that an event
+    /// satisfies with itself: every plan emits exactly the oracle's
+    /// multiset (no duplicates) and never binds one event twice — the
+    /// identity test between same-type slots and, for the sequence, the
+    /// order test are what exclude it.
+    #[test]
+    fn engines_match_oracle_on_repeated_types(
+        spec in prop::collection::vec((0u8..2, 1u8..12, -3i8..3), 1..30)
+    ) {
+        let events = make_events(&spec);
+        for (p, expected) in [
+            (seq_repeat_pattern(), oracle_seq_repeat(&events)),
+            (and_repeat_pattern(), oracle_and_repeat(&events)),
+        ] {
+            for plan in &three_slot_plans() {
+                let got = run_engine_multiset(&p, plan, &events);
+                prop_assert_eq!(
+                    &got, &expected,
+                    "{}: plan {} diverged", p.name, plan.describe()
+                );
+            }
         }
     }
 
