@@ -21,6 +21,12 @@
 //! throughput unit: `thrpt` reads comparisons per second, so
 //! `1000 / (M elem/s)` is ns per comparison, the whole join step
 //! (window, cross-pair tests, merges) included.
+//!
+//! The two `stocks_hot` layers in isolation: `cascade/stocks_seq3` (the
+//! order executor's `SEQ` cascades over buffers of earlier events; ns
+//! per comparison as for `join/*`) and `finalize/negt3_admit` (ns per
+//! trailing-negation admission against one window of held negated
+//! events).
 
 #[path = "common.rs"]
 mod common;
@@ -29,9 +35,11 @@ use std::sync::Arc;
 
 use acep_engine::order_exec::compatible;
 use acep_engine::StepMasks;
-use acep_engine::{build_executor, ExecContext, MigratingExecutor, Partial, PartialStore};
+use acep_engine::{
+    build_executor, Completed, ExecContext, Finalizer, MigratingExecutor, Partial, PartialStore,
+};
 use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreeNode, TreePlan};
-use acep_types::Event;
+use acep_types::{Event, EventTypeId, Pattern, PatternExpr, Timestamp};
 use acep_workloads::{DatasetKind, PatternSetKind};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -100,6 +108,80 @@ fn bench_pair_flat(c: &mut Criterion, ctx: &ExecContext, events: &[Arc<Event>]) 
     });
 }
 
+/// `cascade/stocks_seq3`: the order executor under the identity plan on
+/// the benchmark's `stocks/seq3` pattern over the stocks stream. Every
+/// arrival at a `SEQ` position cascades over the buffer of the next
+/// position, whose events all arrived earlier — the scans `stocks_hot`
+/// spends most of its candidates on. Comparisons are the throughput
+/// unit, as for `join/*`.
+fn bench_cascade(c: &mut Criterion, ctx: &Arc<ExecContext>, events: &[Arc<Event>]) {
+    let plan = EvalPlan::Order(OrderPlan::identity(ctx.n));
+    let run = || {
+        let mut exec = build_executor(Arc::clone(ctx), &plan);
+        let mut out = Vec::new();
+        for ev in events {
+            exec.on_event(ev, &mut out);
+            out.clear();
+        }
+        exec.comparisons()
+    };
+    let mut group = c.benchmark_group("micro/engine/cascade");
+    group.throughput(Throughput::Elements(run()));
+    group.bench_function("stocks_seq3", |b| b.iter(|| black_box(run())));
+    group.finish();
+}
+
+/// `finalize/negt3_admit`: admissions into the finalizer of the
+/// benchmark's `stocks/negt3` pattern, `SEQ(T0, T1, ¬T2)`, holding one
+/// window of `T2` events that all precede the admitted match — the
+/// trailing-negation admissions of `stocks_hot`, none of which a held
+/// `T2` can veto. A sample is 1000 admissions (each emits: its deadline
+/// has passed), so the printed µs read as ns per admission.
+fn bench_finalize(c: &mut Criterion, window: Timestamp, events: &[Arc<Event>]) {
+    let negt3 = Pattern::builder("negt3")
+        .expr(PatternExpr::seq([
+            PatternExpr::prim(EventTypeId(0)),
+            PatternExpr::prim(EventTypeId(1)),
+            PatternExpr::neg(PatternExpr::prim(EventTypeId(2))),
+        ]))
+        .window(window)
+        .build()
+        .expect("negation pattern is valid");
+    let ctx = ExecContext::compile(&negt3.canonical().branches[0]).unwrap();
+    let mut finalizer = Finalizer::new(Arc::clone(&ctx));
+    let mut out = Vec::new();
+    let start = events[0].timestamp;
+    let held = events
+        .iter()
+        .take_while(|e| e.timestamp <= start + window)
+        .filter(|e| e.type_id == EventTypeId(2));
+    for ev in held {
+        finalizer.observe(ev, &mut out);
+    }
+    let after = |ty: u32, from: Timestamp| {
+        events
+            .iter()
+            .find(|e| e.type_id == EventTypeId(ty) && e.timestamp > from)
+            .expect("the stream continues past one window")
+    };
+    let a = after(0, start + window);
+    let b = after(1, a.timestamp);
+    let completed = Completed {
+        events: vec![Some(Arc::clone(a)), Some(Arc::clone(b))],
+        min_ts: a.timestamp,
+        max_ts: b.timestamp,
+    };
+    let now = a.timestamp + window;
+    c.bench_function("micro/engine/finalize/negt3_admit", |bench| {
+        bench.iter(|| {
+            for _ in 0..1000 {
+                finalizer.admit(completed.clone(), black_box(now), &mut out);
+                out.clear();
+            }
+        })
+    });
+}
+
 /// `(((4,3),2),(1,0))`: the bushy plan ZStream deploys on `adapt_tree`.
 fn and5_bushy() -> TreePlan {
     let mut nodes: Vec<TreeNode> = (0..5).map(|slot| TreeNode::Leaf { slot }).collect();
@@ -151,6 +233,8 @@ fn bench(c: &mut Criterion) {
     let seq3 = stocks.pattern(PatternSetKind::Sequence, 3);
     let seq3_ctx = ExecContext::compile(&seq3.canonical().branches[0]).unwrap();
     bench_compare(c, "stocks_seq3", &seq3_ctx, &stock_events);
+    bench_cascade(c, &seq3_ctx, &stock_events);
+    bench_finalize(c, stocks.config.window_ms, &stock_events);
 
     let pattern = scenario.pattern(PatternSetKind::Sequence, 5);
     let ctx = ExecContext::compile(&pattern.canonical().branches[0]).unwrap();

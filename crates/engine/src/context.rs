@@ -57,6 +57,8 @@ use acep_types::{
     SubPattern, Timestamp, VarId,
 };
 
+use crate::buffer::KeySpan;
+
 /// Most positive slots a branch may have: step masks are `u64`
 /// bitmasks of slot indices (module docs).
 pub(crate) const MAX_SLOTS: usize = 64;
@@ -353,6 +355,30 @@ impl ExecContext {
     ) -> bool {
         self.conds
             .holds(group, |pos| events.get(pos).map_or(extra, |e| e.as_deref()))
+    }
+
+    /// Latest timestamp a match starting at `min_ts` may reach:
+    /// `min_ts + W`, saturating, so an unbounded window
+    /// (`W = u64::MAX`) never closes instead of wrapping around. Every
+    /// window-end test and deadline goes through here.
+    #[inline]
+    pub(crate) fn window_end(&self, min_ts: Timestamp) -> Timestamp {
+        min_ts.saturating_add(self.window)
+    }
+
+    /// Earliest timestamp a match ending at `max_ts` may reach:
+    /// `max_ts − W`, saturating at 0.
+    #[inline]
+    pub(crate) fn window_start(&self, max_ts: Timestamp) -> Timestamp {
+        max_ts.saturating_sub(self.window)
+    }
+
+    /// The keys of the events that fit in one window with a combination
+    /// spanning `[min_ts, max_ts]`: timestamps in `[max_ts − W,
+    /// min_ts + W]`.
+    #[inline]
+    pub(crate) fn window_span(&self, min_ts: Timestamp, max_ts: Timestamp) -> KeySpan {
+        KeySpan::timestamps(self.window_start(max_ts), self.window_end(min_ts))
     }
 
     /// Nearest non-Kleene slot strictly before `slot` in pattern order.

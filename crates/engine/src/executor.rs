@@ -70,8 +70,11 @@ pub trait Executor: Send {
         0
     }
 
-    /// Total predicate/join comparisons performed (the paper's work
-    /// metric).
+    /// Candidates the plan considers (the paper's work metric): every
+    /// event or partial a join step, a history scan or the finalizer
+    /// pairs with another. A candidate a time bound excludes is charged
+    /// without being tested, so the count depends on the plan and the
+    /// stream, not on how the scans are bounded.
     fn comparisons(&self) -> u64;
 
     /// Earliest finalization deadline among matches pending a

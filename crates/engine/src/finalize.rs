@@ -30,7 +30,7 @@ use std::sync::Arc;
 use acep_checkpoint::{BufferRec, CheckpointError, EventMap, EventTable, FinalizerRec, PendingRec};
 use acep_types::{Event, SubKind, Timestamp};
 
-use crate::buffer::EventBuffer;
+use crate::buffer::{stream_key, EventBuffer, KeySpan};
 use crate::context::{ExecContext, NegGuard};
 use crate::matches::Match;
 use crate::selection::{self, SeenRef, SharedSeen};
@@ -141,7 +141,12 @@ impl Finalizer {
         }
     }
 
-    /// Predicate-evaluation count (part of the engine's work metric).
+    /// Candidates the finalizer considered (part of the engine's work
+    /// metric): one per general condition, per buffered negation or
+    /// Kleene candidate of an admission, and per pending match an
+    /// arriving negated or Kleene event meets. A buffered candidate
+    /// outside the admission's time bounds is charged without being
+    /// tested.
     pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
@@ -390,6 +395,12 @@ impl Finalizer {
     /// Admits a completed positive combination observed at stream time
     /// `now`. Emits immediately when possible, otherwise parks it in the
     /// pending queue.
+    ///
+    /// The negation and Kleene histories are scanned only over the
+    /// slice of each buffer that the candidate's temporal scope allows
+    /// (`neg_span`, `kleene_span`); the rest is charged to
+    /// [`comparisons`](Self::comparisons) untested, as the full scan
+    /// would have counted it.
     pub fn admit(&mut self, completed: Completed, now: Timestamp, out: &mut Vec<Match>) {
         // Conditions over 3+ variables.
         for group in self.ctx.general_groups() {
@@ -398,26 +409,29 @@ impl Finalizer {
                 return;
             }
         }
-        // Past negated events.
+        // Past negated events. Nothing before the slice can invalidate,
+        // so an invalidator at slice position `i` ends the scan where a
+        // full scan would have: after `start + i + 1` candidates.
         for (gi, guard) in self.ctx.negated.iter().enumerate() {
-            for ev in self.history.neg[gi].iter() {
-                self.comparisons += 1;
-                if neg_invalidates(&self.ctx, guard, &completed, ev) {
-                    return;
-                }
+            let buf = &self.history.neg[gi];
+            let invalidates = |ev: &Arc<Event>| neg_invalidates(&self.ctx, guard, &completed, ev);
+            let scope = buf.slice(&neg_span(&self.ctx, guard, &completed));
+            buf.debug_assert_sound(&scope, invalidates);
+            if let Some(i) = buf.range(scope.clone()).position(invalidates) {
+                self.comparisons += (scope.start + i + 1) as u64;
+                return;
             }
+            self.comparisons += buf.len() as u64;
         }
         // Past Kleene candidates.
         let mut kleene_sets: Vec<Vec<Arc<Event>>> = Vec::with_capacity(self.ctx.kleene_slots.len());
         for (ki, &slot) in self.ctx.kleene_slots.iter().enumerate() {
-            let mut set = Vec::new();
-            for ev in self.history.kleene[ki].iter() {
-                self.comparisons += 1;
-                if kleene_compatible(&self.ctx, slot, &completed, ev) {
-                    set.push(Arc::clone(ev));
-                }
-            }
-            kleene_sets.push(set);
+            let buf = &self.history.kleene[ki];
+            let joins = |ev: &&Arc<Event>| kleene_compatible(&self.ctx, slot, &completed, ev);
+            let scope = buf.slice(&kleene_span(&self.ctx, slot, &completed));
+            buf.debug_assert_sound(&scope, |ev| joins(&ev));
+            self.comparisons += buf.len() as u64;
+            kleene_sets.push(buf.range(scope).filter(joins).cloned().collect());
         }
 
         let deadline = self.finalization_deadline(&completed);
@@ -465,7 +479,7 @@ impl Finalizer {
     /// Latest stream time at which an event may still invalidate or
     /// extend a match built on `completed`.
     fn finalization_deadline(&self, completed: &Completed) -> Timestamp {
-        let window_end = completed.min_ts + self.ctx.window;
+        let window_end = self.ctx.window_end(completed.min_ts);
         let mut deadline = 0;
         for guard in &self.ctx.negated {
             let open = !matches!(
@@ -527,6 +541,45 @@ impl Finalizer {
     }
 }
 
+/// The event bound at join slot `s` of a completed combination.
+fn bound(completed: &Completed, s: usize) -> &Arc<Event> {
+    completed.events[s].as_ref().expect("bound join slot")
+}
+
+/// The keys a negated event needs to fall in `guard`'s temporal scope
+/// for a match on `completed` — the scope test of [`neg_invalidates`]:
+/// after the `after_slot` anchor, else from the window start; before
+/// the `before_slot` anchor, else up to the window end. (The anchors lie
+/// inside the window, so starting from the window span and cutting it at
+/// the anchors gives the same keys.)
+fn neg_span(ctx: &ExecContext, guard: &NegGuard, completed: &Completed) -> KeySpan {
+    let mut span = ctx.window_span(completed.min_ts, completed.max_ts);
+    if let Some(s) = guard.after_slot {
+        span = span.after(stream_key(bound(completed, s)));
+    }
+    if let Some(s) = guard.before_slot {
+        span = span.before(stream_key(bound(completed, s)));
+    }
+    span
+}
+
+/// The keys a Kleene candidate at `slot` needs for a match on
+/// `completed` — the temporal test of [`kleene_compatible`]: inside the
+/// window and, in a sequence, strictly between the neighbouring join
+/// slots' events.
+fn kleene_span(ctx: &ExecContext, slot: usize, completed: &Completed) -> KeySpan {
+    let mut span = ctx.window_span(completed.min_ts, completed.max_ts);
+    if ctx.kind == SubKind::Sequence {
+        if let Some(prev) = ctx.prev_join_slot(slot) {
+            span = span.after(stream_key(bound(completed, prev)));
+        }
+        if let Some(next) = ctx.next_join_slot(slot) {
+            span = span.before(stream_key(bound(completed, next)));
+        }
+    }
+    span
+}
+
 /// Does negated event `ev` invalidate a match built on `completed`?
 fn neg_invalidates(
     ctx: &ExecContext,
@@ -537,26 +590,24 @@ fn neg_invalidates(
     // Temporal scope.
     match guard.after_slot {
         Some(s) => {
-            let anchor = completed.events[s].as_ref().expect("bound join slot");
-            if !ExecContext::before(anchor, ev) {
+            if !ExecContext::before(bound(completed, s), ev) {
                 return false;
             }
         }
         None => {
-            if ev.timestamp < completed.max_ts.saturating_sub(ctx.window) {
+            if ev.timestamp < ctx.window_start(completed.max_ts) {
                 return false;
             }
         }
     }
     match guard.before_slot {
         Some(s) => {
-            let anchor = completed.events[s].as_ref().expect("bound join slot");
-            if !ExecContext::before(ev, anchor) {
+            if !ExecContext::before(ev, bound(completed, s)) {
                 return false;
             }
         }
         None => {
-            if ev.timestamp > completed.min_ts + ctx.window {
+            if ev.timestamp > ctx.window_end(completed.min_ts) {
                 return false;
             }
         }
@@ -574,20 +625,20 @@ fn kleene_compatible(
     ev: &Arc<Event>,
 ) -> bool {
     // Window span.
-    if ev.timestamp > completed.min_ts + ctx.window
-        || ev.timestamp < completed.max_ts.saturating_sub(ctx.window)
+    if ev.timestamp > ctx.window_end(completed.min_ts)
+        || ev.timestamp < ctx.window_start(completed.max_ts)
     {
         return false;
     }
-    let bound = |js: usize| completed.events[js].as_ref().expect("bound join slot");
+    let at = |js: usize| bound(completed, js);
     // Temporal position for sequences.
     if ctx.kind == SubKind::Sequence
         && (ctx
             .prev_join_slot(slot)
-            .is_some_and(|prev| !ExecContext::before(bound(prev), ev))
+            .is_some_and(|prev| !ExecContext::before(at(prev), ev))
             || ctx
                 .next_join_slot(slot)
-                .is_some_and(|next| !ExecContext::before(ev, bound(next))))
+                .is_some_and(|next| !ExecContext::before(ev, at(next))))
     {
         return false;
     }
@@ -598,7 +649,7 @@ fn kleene_compatible(
         && ctx
             .join_slots
             .iter()
-            .all(|&js| bound(js).seq != ev.seq && ctx.pair_ok(slot, ev, js, bound(js)))
+            .all(|&js| at(js).seq != ev.seq && ctx.pair_ok(slot, ev, js, at(js)))
 }
 
 #[cfg(test)]
@@ -730,6 +781,40 @@ mod tests {
         f.observe(&ev(5, 200, 3, 0), &mut out);
         assert!(out.is_empty());
         assert_eq!(f.pending_count(), 0);
+    }
+
+    #[test]
+    fn an_unbounded_window_holds_a_trailing_negation_to_the_end() {
+        // SEQ(A, C, ~D) WITHIN u64::MAX: the window never closes, so the
+        // match stays pending until `finish`, and a D arriving at any
+        // later time still invalidates it.
+        let p = Pattern::builder("p")
+            .expr(PatternExpr::seq([
+                PatternExpr::prim(t(0)),
+                PatternExpr::prim(t(2)),
+                PatternExpr::neg(PatternExpr::prim(t(3))),
+            ]))
+            .window(u64::MAX)
+            .build()
+            .unwrap();
+        let ctx = ctx_for(&p);
+        for vetoed in [false, true] {
+            let mut f = Finalizer::new(Arc::clone(&ctx));
+            let mut out = Vec::new();
+            f.admit(
+                positive_completed(&ctx, ev(0, 10, 0, 0), ev(2, 30, 1, 0)),
+                30,
+                &mut out,
+            );
+            assert_eq!(f.min_pending_deadline(), Some(u64::MAX));
+            f.observe(&ev(5, 1 << 60, 2, 0), &mut out);
+            if vetoed {
+                f.observe(&ev(3, 1 << 61, 3, 0), &mut out);
+            }
+            assert!(out.is_empty(), "held while the window is open");
+            f.finish(&mut out);
+            assert_eq!(out.len(), usize::from(!vetoed));
+        }
     }
 
     #[test]

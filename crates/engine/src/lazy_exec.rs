@@ -3,9 +3,12 @@
 //!
 //! Where the order executor stores a partial match for every viable
 //! prefix combination, this executor stores almost no partial state at
-//! all. Events are only appended to per-join-position ring buffers; the
-//! arrival of an instance of the plan's *trigger slot* (`order[0]`, the
-//! statistically rarest effective type) is a *trigger*. Once every event
+//! all. Events are only inserted into per-join-position history buffers
+//! (stream-ordered [`EventBuffer`]s, so chain construction scans only
+//! each buffer's time-feasible slice, as the order executor's cascade
+//! does); the arrival of an instance of the plan's *trigger slot*
+//! (`order[0]`, the statistically rarest effective type) is a
+//! *trigger*. Once every event
 //! that could join it has arrived, the executor constructs all chains
 //! seeded on the trigger by extending through the buffered slots in
 //! ascending-frequency plan order, and hands completed combinations to
@@ -66,7 +69,7 @@ use crate::context::ExecContext;
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
 use crate::matches::Match;
-use crate::order_exec::compatible;
+use crate::order_exec::extend_from_history;
 use crate::partial::{Partial, PartialStore};
 use crate::selection::SharedSeen;
 
@@ -78,8 +81,8 @@ const SWEEP_INTERVAL: u32 = 256;
 #[derive(Debug)]
 struct Trigger {
     ev: Arc<Event>,
-    /// `ev.timestamp + W`: the last stream time at which a joining
-    /// event may still arrive.
+    /// `ev.timestamp + W` (saturating): the last stream time at which a
+    /// joining event may still arrive.
     deadline: Timestamp,
 }
 
@@ -165,10 +168,9 @@ impl LazyExecutor {
                 buf.push(events.get(seq)?);
             }
         }
-        let window = exec.ctx.window;
         for &seq in &rec.triggers {
             let ev = events.get(seq)?;
-            let deadline = ev.timestamp + window;
+            let deadline = exec.ctx.window_end(ev.timestamp);
             exec.triggers.push_back(Trigger { ev, deadline });
         }
         exec.finalizer.import_rec(&rec.finalizer, events)?;
@@ -211,25 +213,16 @@ impl LazyExecutor {
                 self.finalizer.admit(completed, now, out);
                 continue;
             }
-            let slot = self.join_order[depth];
-            let step = self.ctx.order_step(&self.join_order, depth);
-            let depth_before = self.stack.len();
-            for cand in self.buffers[depth].iter() {
-                self.comparisons += 1;
-                if compatible(
-                    &self.ctx,
-                    &self.store,
-                    &partial,
-                    slot,
-                    cand,
-                    &step,
-                    self.finalizer.seen().as_deref(),
-                ) {
-                    let ext = partial.extend(&mut self.store, slot, Arc::clone(cand));
-                    self.stack.push((ext, depth + 1));
-                }
-            }
-            self.stack[depth_before..].reverse();
+            self.comparisons += extend_from_history(
+                &self.ctx,
+                &self.join_order,
+                depth,
+                partial,
+                &self.buffers[depth],
+                self.finalizer.seen().as_deref(),
+                &mut self.store,
+                &mut self.stack,
+            );
         }
     }
 }
@@ -264,7 +257,7 @@ impl Executor for LazyExecutor {
                 } else {
                     self.triggers.push_back(Trigger {
                         ev: Arc::clone(ev),
-                        deadline: now + self.ctx.window,
+                        deadline: self.ctx.window_end(now),
                     });
                 }
             }
@@ -494,6 +487,25 @@ mod tests {
             }
             assert_eq!(exec.partial_count(), 0);
         }
+    }
+
+    #[test]
+    fn an_unbounded_window_defers_triggers_to_the_end() {
+        // WITHIN u64::MAX: a deferred trigger's window never closes, so
+        // its chains are built at `finish`, not at a wrapped-around
+        // deadline.
+        let p = Pattern::sequence("p", &[t(0), t(1), t(2)], u64::MAX);
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let mut exec = LazyExecutor::new(ctx, &LazyPlan::new(vec![1, 2, 0]));
+        let mut out = Vec::new();
+        exec.on_event(&ev(0, 10, 0, 0), &mut out);
+        exec.on_event(&ev(1, 20, 1, 0), &mut out);
+        exec.on_event(&ev(2, 30, 2, 0), &mut out);
+        exec.on_event(&ev(9, 1 << 62, 3, 0), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(exec.min_pending_deadline(), Some(u64::MAX));
+        exec.finish(&mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //!   so a host classifies a whole batch's events in one columnar pass
 //!   and dispatches only to the queries whose bit is set.
 //!
+//! * [`buffer`] — stream-ordered event histories: every history the
+//!   executors and the finalizer scan is kept in `(timestamp, seq)`
+//!   order by construction, so a scan bounded in time reads one
+//!   binary-searched slice.
+//!
 //! * [`partial`] — arena-backed partial matches: a per-executor
 //!   [`PartialStore`] slab of `(slot, event, parent)` binding nodes, so
 //!   extending or merging a partial is O(1)/O(shorter chain) node

@@ -24,6 +24,13 @@
 //! against slots of the candidate's type, `SEQ` order against the bound
 //! slots next to the new one, conditions against linked slots. Its chain
 //! walk stops once every masked slot has been seen.
+//!
+//! A cascade step reads a position's buffer — stream-ordered by
+//! construction ([`EventBuffer`]) — only over the slice its time bounds
+//! allow (`scan_span`: the window around the partial, cut at the `SEQ`
+//! neighbours the step's order mask names). Every buffered event is
+//! still charged to `comparisons()`; those outside the slice fail on
+//! time alone, which debug builds assert.
 
 use std::sync::Arc;
 
@@ -34,7 +41,7 @@ use acep_plan::OrderPlan;
 use acep_types::faultpoint::{self, FaultPoint};
 use acep_types::{Event, Timestamp};
 
-use crate::buffer::EventBuffer;
+use crate::buffer::{stream_key, EventBuffer, KeySpan};
 use crate::context::{ExecContext, StepMasks};
 use crate::executor::Executor;
 use crate::finalize::{Completed, Finalizer, FinalizerHistory};
@@ -201,25 +208,16 @@ impl OrderExecutor {
                 self.finalizer.admit(completed, now, out);
                 continue;
             }
-            let slot = self.join_order[depth];
-            let step = self.ctx.order_step(&self.join_order, depth);
-            let depth_before = self.cascade_stack.len();
-            for ev in self.buffers[depth].iter() {
-                self.comparisons += 1;
-                if compatible(
-                    &self.ctx,
-                    &self.store,
-                    &partial,
-                    slot,
-                    ev,
-                    &step,
-                    self.finalizer.seen().as_deref(),
-                ) {
-                    let ext = partial.extend(&mut self.store, slot, Arc::clone(ev));
-                    self.cascade_stack.push((ext, depth + 1));
-                }
-            }
-            self.cascade_stack[depth_before..].reverse();
+            self.comparisons += extend_from_history(
+                &self.ctx,
+                &self.join_order,
+                depth,
+                partial,
+                &self.buffers[depth],
+                self.finalizer.seen().as_deref(),
+                &mut self.store,
+                &mut self.cascade_stack,
+            );
             self.levels[depth - 1].push(partial);
         }
     }
@@ -319,6 +317,80 @@ impl Executor for OrderExecutor {
     }
 }
 
+/// One cascade step over history: extends `partial`, which binds
+/// `order[..depth]`, at slot `order[depth]` with every event of `buf`
+/// that passes [`compatible`], and pushes the extensions onto `stack`
+/// (at `depth + 1`) so that the depth-first drain pops them in buffer
+/// order. Only the slice of `buf` inside [`scan_span`] is tested — the
+/// events outside it fail on time alone (asserted in debug builds).
+/// Returns the candidates considered, the whole buffer: the unit
+/// `comparisons()` charges.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extend_from_history(
+    ctx: &ExecContext,
+    order: &[usize],
+    depth: usize,
+    partial: Partial,
+    buf: &EventBuffer,
+    seen: Option<&SeenLog>,
+    store: &mut PartialStore,
+    stack: &mut Vec<(Partial, usize)>,
+) -> u64 {
+    if buf.is_empty() {
+        return 0;
+    }
+    let slot = order[depth];
+    let step = ctx.order_step(order, depth);
+    let joins = |store: &PartialStore, ev: &Arc<Event>| {
+        compatible(ctx, store, &partial, slot, ev, &step, seen)
+    };
+    let range = buf.slice(&scan_span(ctx, store, &partial, slot, &step));
+    buf.debug_assert_sound(&range, |ev| joins(store, ev));
+    let stacked = stack.len();
+    for ev in buf.range(range) {
+        if joins(store, ev) {
+            stack.push((partial.extend(store, slot, Arc::clone(ev)), depth + 1));
+        }
+    }
+    stack[stacked..].reverse();
+    buf.len() as u64
+}
+
+/// The keys a buffered event needs to extend `partial` at `slot` under
+/// `step` — the temporal part of [`compatible`]: inside the window around
+/// the partial's time range, and on the right side of each bound
+/// neighbour `step.order` names (strictly after one that precedes `slot`
+/// in the pattern, strictly before one that follows it). One chain walk,
+/// stopping once every neighbour was seen.
+pub(crate) fn scan_span(
+    ctx: &ExecContext,
+    store: &PartialStore,
+    partial: &Partial,
+    slot: usize,
+    step: &StepMasks,
+) -> KeySpan {
+    let mut span = ctx.window_span(partial.min_ts, partial.max_ts);
+    let mut left = step.order;
+    if left != 0 {
+        for (t, b) in partial.chain(store) {
+            let bit = 1 << t;
+            if left & bit == 0 {
+                continue;
+            }
+            span = if t < slot {
+                span.after(stream_key(b))
+            } else {
+                span.before(stream_key(b))
+            };
+            left &= !bit;
+            if left == 0 {
+                break;
+            }
+        }
+    }
+    span
+}
+
 /// Full compatibility check for extending `partial` with `ev` at `slot`,
 /// testing only the bound slots `step` names (the step's masks,
 /// [`ExecContext::order_step`]). `seen` (present only under restrictive
@@ -371,6 +443,8 @@ pub fn compatible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::build_executor;
+    use acep_plan::{EvalPlan, LazyPlan};
     use acep_types::{attr, EventTypeId, Pattern, PatternExpr, Value};
 
     fn t(i: u32) -> EventTypeId {
@@ -381,7 +455,7 @@ mod tests {
         Event::new(t(tid), ts, seq, vec![Value::Int(v)])
     }
 
-    fn run(exec: &mut OrderExecutor, events: &[Arc<Event>]) -> Vec<Match> {
+    fn run(exec: &mut dyn Executor, events: &[Arc<Event>]) -> Vec<Match> {
         let mut out = Vec::new();
         for e in events {
             exec.on_event(e, &mut out);
@@ -628,6 +702,54 @@ mod tests {
         exec.on_event(&ev(1, 20, 2, 0), &mut out);
         // Two (A,B) partials joined the two As.
         assert_eq!(exec.partial_count(), 4);
+    }
+
+    #[test]
+    fn stragglers_are_placed_in_stream_order() {
+        // SEQ(A, B, C) WHERE a.x < c.x. Ten events stamped 10 arrive
+        // with decreasing seq, so each one precedes, in stream order,
+        // everything delivered before it; then three in order at 30 and
+        // one straggler stamped 20. Every history is kept in stream order
+        // whatever the arrival order, so the time-bounded scans find
+        // exactly what the sorted feed finds.
+        let p = Pattern::builder("p")
+            .expr(PatternExpr::seq([
+                PatternExpr::prim(t(0)),
+                PatternExpr::prim(t(1)),
+                PatternExpr::prim(t(2)),
+            ]))
+            .condition(attr(0, 0).lt(attr(2, 0)))
+            .window(100)
+            .build()
+            .unwrap();
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let mut feed: Vec<Arc<Event>> = (0..10u64)
+            .rev()
+            .map(|seq| ev((seq % 3) as u32, 10, seq, (seq * 7 % 5) as i64))
+            .collect();
+        feed.extend([ev(2, 30, 20, 4), ev(1, 30, 21, 0), ev(2, 30, 22, 9)]);
+        feed.push(ev(1, 20, 15, 0));
+        let mut sorted = feed.clone();
+        sorted.sort_by_key(|e| (e.timestamp, e.seq));
+        // Lazy plans whose trigger is deferred to its window close; a
+        // trigger firing on arrival cannot see a later straggler.
+        for plan in [
+            EvalPlan::Order(OrderPlan::identity(3)),
+            EvalPlan::Order(OrderPlan::new(vec![2, 1, 0])),
+            EvalPlan::Order(OrderPlan::new(vec![1, 0, 2])),
+            EvalPlan::Lazy(LazyPlan::identity(3)),
+            EvalPlan::Lazy(LazyPlan::new(vec![1, 2, 0])),
+        ] {
+            let keys = |events: &[Arc<Event>]| {
+                let mut exec = build_executor(Arc::clone(&ctx), &plan);
+                let mut keys: Vec<_> = run(&mut *exec, events).iter().map(Match::key).collect();
+                keys.sort();
+                keys
+            };
+            let want = keys(&sorted);
+            assert!(want.len() > 10, "{plan:?}: {} matches", want.len());
+            assert_eq!(keys(&feed), want, "{plan:?}");
+        }
     }
 
     #[test]

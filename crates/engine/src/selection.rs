@@ -43,37 +43,40 @@
 //! Negation guards, Kleene collection (always the maximal qualifying
 //! set), window checks, and general conditions are policy-independent.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use acep_types::{Event, SelectionPolicy, SubKind, Timestamp};
 
+pub use crate::buffer::{stream_key, StreamKey};
+use crate::buffer::{EventBuffer, KeySpan};
 use crate::context::ExecContext;
 use crate::finalize::Completed;
 use crate::partial::{Partial, PartialStore};
-
-/// Stream-order key: the same `(timestamp, seq)` order as
-/// [`ExecContext::before`].
-pub type StreamKey = (Timestamp, u64);
-
-/// The stream-order key of an event.
-#[inline]
-pub fn stream_key(ev: &Event) -> StreamKey {
-    (ev.timestamp, ev.seq)
-}
 
 /// Ordered log of every event delivered to one engine, kept only when
 /// the policy is restrictive (the default skip-till-any path never
 /// allocates one).
 ///
+/// The log is an [`EventBuffer`] that never expires by itself: the same
+/// stream-ordered insert (O(1) for in-order delivery, insert-sorted for
+/// a straggler, a no-op for a key already present — so merging two logs
+/// of one stream never duplicates entries) and the same range query.
 /// Retention is driven by the finalizer: events are dropped once they
 /// are older than both `now − 2W` and `W` before the earliest pending
 /// match's `min_ts`, which keeps every event a pending or future match
 /// could need to inspect (members lie within `W` of the match span, so
 /// interposers do too).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SeenLog {
-    buf: VecDeque<Arc<Event>>,
+    buf: EventBuffer,
+}
+
+impl Default for SeenLog {
+    fn default() -> Self {
+        Self {
+            buf: EventBuffer::new(Timestamp::MAX),
+        }
+    }
 }
 
 impl SeenLog {
@@ -92,23 +95,9 @@ impl SeenLog {
         self.buf.is_empty()
     }
 
-    /// Records a delivered event. Appending is O(1) for in-order
-    /// delivery; an out-of-order straggler is insert-sorted. Pushing an
-    /// event whose `(timestamp, seq)` key is already present is a no-op,
-    /// so merging two logs of the same stream never duplicates entries.
+    /// Records a delivered event in stream order (see the type docs).
     pub fn push(&mut self, ev: Arc<Event>) {
-        let k = stream_key(&ev);
-        match self.buf.back() {
-            Some(b) if stream_key(b) == k => {}
-            Some(b) if stream_key(b) < k => self.buf.push_back(ev),
-            None => self.buf.push_back(ev),
-            _ => {
-                let idx = self.buf.partition_point(|e| stream_key(e) <= k);
-                if idx == 0 || stream_key(&self.buf[idx - 1]) != k {
-                    self.buf.insert(idx, ev);
-                }
-            }
-        }
+        self.buf.insert(ev);
     }
 
     /// Iterates retained events in stream order (oldest first) — the
@@ -119,16 +108,13 @@ impl SeenLog {
 
     /// Drops events with `timestamp < cutoff`.
     pub fn prune(&mut self, cutoff: Timestamp) {
-        while self.buf.front().is_some_and(|e| e.timestamp < cutoff) {
-            self.buf.pop_front();
-        }
+        self.buf.prune(cutoff);
     }
 
     /// Events strictly between two stream positions (both exclusive).
     pub fn between(&self, lo: StreamKey, hi: StreamKey) -> impl Iterator<Item = &Arc<Event>> {
-        let start = self.buf.partition_point(|e| stream_key(e) <= lo);
-        let end = self.buf.partition_point(|e| stream_key(e) < hi);
-        self.buf.range(start..end.max(start))
+        self.buf
+            .range(self.buf.slice(&KeySpan::ALL.after(lo).before(hi)))
     }
 
     /// True if any event lies strictly between the two positions.
@@ -589,32 +575,16 @@ mod tests {
     }
 
     #[test]
-    fn seen_log_orders_and_prunes() {
-        let mut log = SeenLog::new();
-        log.push(ev(0, 10, 0, 0));
-        log.push(ev(0, 30, 2, 0));
-        log.push(ev(0, 20, 1, 0)); // straggler insert-sorted
-        assert_eq!(log.len(), 3);
-        let between: Vec<u64> = log.between((10, 0), (30, 2)).map(|e| e.seq).collect();
-        assert_eq!(between, vec![1]);
-        assert!(!log.any_between((20, 1), (30, 2)));
-        log.prune(25);
-        assert_eq!(log.len(), 1);
-        log.prune(100);
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn seen_log_push_is_idempotent() {
-        let mut log = SeenLog::new();
-        log.push(ev(0, 10, 0, 0));
-        log.push(ev(0, 10, 0, 0)); // duplicate tail
-        log.push(ev(0, 30, 2, 0));
-        log.push(ev(0, 20, 1, 0));
-        log.push(ev(0, 20, 1, 0)); // duplicate straggler
-        assert_eq!(log.len(), 3);
-        let seqs: Vec<u64> = log.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+    fn seen_log_between_is_exclusive() {
+        // Ordering, pruning and idempotent pushes are the shared
+        // `EventBuffer` code (its own tests); this pins the exclusive
+        // ends `between` adds on top.
+        let log = log_of(&[ev(0, 10, 0, 0), ev(0, 20, 1, 0), ev(0, 20, 2, 0)]);
+        let seqs = |lo, hi| log.between(lo, hi).map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!(seqs((10, 0), (20, 2)), [1]);
+        assert_eq!(seqs((0, 0), (u64::MAX, u64::MAX)), [0, 1, 2]);
+        assert!(!log.any_between((20, 1), (20, 2)));
+        assert!(!log.any_between((20, 2), (10, 0)));
     }
 
     #[test]

@@ -754,6 +754,41 @@ proptest! {
             prop_assert_eq!(&got, &expected, "plan {} diverged", plan.describe());
         }
     }
+
+    /// Timestamp gaps of `0..=2`: about a third of the events share a
+    /// timestamp with their predecessor, so `seq` alone orders them and
+    /// decides every `SEQ` order, negation scope, Kleene position and
+    /// time bound of a history scan between them. Sequences, interior
+    /// negation and Kleene closure under every plan; trailing negation
+    /// only under the deferred lazy plan — the other plans emit a match
+    /// admitted at exactly its deadline before a tied negated event can
+    /// veto it (a known defect, pinned in `arena_equivalence`).
+    #[test]
+    fn engines_match_oracle_on_tied_timestamps(
+        spec in prop::collection::vec((0u8..3, 0u8..3, -3i8..3), 1..40)
+    ) {
+        let events = make_events(&spec);
+        let any = SelectionPolicy::SkipTillAny;
+        let cases = [
+            (pattern(), oracle_seq(&events, any), three_slot_plans().to_vec()),
+            (interior_neg_pattern(), oracle_interior_neg(&events, any), two_slot_plans().to_vec()),
+            (kleene_pattern(), oracle_kleene(&events, any), three_slot_plans().to_vec()),
+            (
+                trailing_neg_pattern(),
+                oracle_trailing_neg(&events, any),
+                vec![EvalPlan::Lazy(LazyPlan::identity(2))],
+            ),
+        ];
+        for (p, expected, plans) in &cases {
+            for plan in plans {
+                let got = run_engine(p, plan, &events);
+                prop_assert_eq!(
+                    &got, expected,
+                    "{}: plan {} diverged", p.name, plan.describe()
+                );
+            }
+        }
+    }
 }
 
 /// Runs the full selection-policy matrix for a single-branch pattern:
