@@ -18,19 +18,34 @@ use std::sync::Arc;
 
 use acep_types::{Event, EventTypeId, Value};
 
-use crate::codec::{CheckpointError, Reader, Writer};
+use crate::codec::{wire_record, CheckpointError};
 
-/// A serialized attribute value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ValueRec {
-    /// 64-bit signed integer.
-    Int(i64),
-    /// 64-bit float (exact bit pattern preserved).
-    Float(f64),
-    /// Boolean.
-    Bool(bool),
-    /// UTF-8 string.
-    Str(String),
+wire_record! {
+    /// A serialized attribute value.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ValueRec {
+        /// 64-bit signed integer.
+        Int(i64),
+        /// 64-bit float (exact bit pattern preserved).
+        Float(f64),
+        /// Boolean.
+        Bool(bool),
+        /// UTF-8 string.
+        Str(String),
+    }
+
+    /// A serialized event, keyed by its globally unique ingest `seq`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EventRec {
+        /// Event type discriminator.
+        pub type_id: u32,
+        /// Event timestamp (ms).
+        pub timestamp: u64,
+        /// Globally unique ingest sequence number.
+        pub seq: u64,
+        /// Attribute values in schema order.
+        pub attrs: Vec<ValueRec>,
+    }
 }
 
 impl ValueRec {
@@ -53,50 +68,6 @@ impl ValueRec {
             ValueRec::Str(s) => Value::Str(Arc::from(s.as_str())),
         }
     }
-
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        match self {
-            ValueRec::Int(i) => {
-                w.put_u8(0);
-                w.put_i64(*i);
-            }
-            ValueRec::Float(f) => {
-                w.put_u8(1);
-                w.put_f64(*f);
-            }
-            ValueRec::Bool(b) => {
-                w.put_u8(2);
-                w.put_bool(*b);
-            }
-            ValueRec::Str(s) => {
-                w.put_u8(3);
-                w.put_str(s);
-            }
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(match r.get_u8()? {
-            0 => ValueRec::Int(r.get_i64()?),
-            1 => ValueRec::Float(r.get_f64()?),
-            2 => ValueRec::Bool(r.get_bool()?),
-            3 => ValueRec::Str(r.get_str()?),
-            _ => return Err(CheckpointError::BadValue("value tag")),
-        })
-    }
-}
-
-/// A serialized event, keyed by its globally unique ingest `seq`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRec {
-    /// Event type discriminator.
-    pub type_id: u32,
-    /// Event timestamp (ms).
-    pub timestamp: u64,
-    /// Globally unique ingest sequence number.
-    pub seq: u64,
-    /// Attribute values in schema order.
-    pub attrs: Vec<ValueRec>,
 }
 
 impl EventRec {
@@ -118,33 +89,6 @@ impl EventRec {
             self.seq,
             self.attrs.iter().map(ValueRec::to_value).collect(),
         )
-    }
-
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.type_id);
-        w.put_u64(self.timestamp);
-        w.put_u64(self.seq);
-        w.put_usize(self.attrs.len());
-        for a in &self.attrs {
-            a.encode(w);
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let type_id = r.get_u32()?;
-        let timestamp = r.get_u64()?;
-        let seq = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut attrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            attrs.push(ValueRec::decode(r)?);
-        }
-        Ok(Self {
-            type_id,
-            timestamp,
-            seq,
-            attrs,
-        })
     }
 }
 
@@ -243,6 +187,7 @@ impl EventMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Wire;
 
     #[test]
     fn interning_dedups_by_seq_and_round_trips() {
@@ -257,10 +202,7 @@ mod tests {
         assert_eq!(table.intern(&ev), 42);
         assert_eq!(table.len(), 1);
         let recs = table.into_records();
-        let mut w = Writer::new();
-        recs[0].encode(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = EventRec::decode(&mut Reader::new(&bytes)).unwrap();
+        let decoded = EventRec::from_wire(&recs[0].to_wire()).unwrap();
         assert_eq!(decoded, recs[0]);
         let mut map = EventMap::new();
         map.insert(&decoded);

@@ -14,6 +14,16 @@
 //! emitted-match frontier (`emit_seq` in [`CountersRec`]) that lets a
 //! deduplicating sink make replay exactly-once.
 //!
+//! A record's type *is* its wire layout: the codec derives each
+//! record's encoding from its definition (fields in declaration order,
+//! `Vec` as a `u64` length and then the elements, `Option` as a
+//! presence byte and then the value, enums as a `u8` tag in variant
+//! order), so the format is written down once. Adding, removing,
+//! reordering or retyping a record field is therefore a format change
+//! and needs a new [`MAGIC`]. Encoding goes through
+//! [`ShardCheckpoint::to_bytes`] and [`CheckpointLog`]; nothing else of
+//! the codec is public.
+//!
 //! The conversions between live runtime state and these records live
 //! in the runtime crates (`acep-engine`, `acep-core`, `acep-stream`);
 //! this crate holds only the wire shape, the codec, and the log, so it
@@ -35,12 +45,11 @@ mod event_table;
 mod log;
 mod rec;
 
-pub use codec::{fnv64, CheckpointError, Reader, Writer};
+pub use codec::CheckpointError;
 pub use event_table::{EventMap, EventRec, EventTable, ValueRec};
 pub use log::{CheckpointLog, Manifest, MAGIC};
 pub use rec::{
-    decode_plan, encode_plan, BranchCtlRec, BufferRec, CollectorRec, ControllerRec, CountersRec,
-    ExecutorRec, FinalizerRec, GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec,
-    MigratingRec, OrderExecRec, PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint,
-    StatsRec, TreeExecRec,
+    BranchCtlRec, BufferRec, CollectorRec, ControllerRec, CountersRec, ExecutorRec, FinalizerRec,
+    GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec, MigratingRec, OrderExecRec,
+    PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint, StatsRec, TreeExecRec,
 };

@@ -24,7 +24,7 @@
 
 use std::path::Path;
 
-use crate::codec::{fnv64, CheckpointError, Reader, Writer};
+use crate::codec::{fnv64, wire_record, CheckpointError, Reader, Wire, Writer};
 use crate::event_table::EventMap;
 use crate::rec::ShardCheckpoint;
 
@@ -39,49 +39,20 @@ const KIND_SHARD: u8 = 1;
 const KIND_MANIFEST: u8 = 2;
 const MANIFEST_SHARD: u32 = u32::MAX;
 
-/// Seals one checkpoint: the runtime-level facts recovery needs before
-/// decoding any shard state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Manifest {
-    /// Checkpoint id (monotone from 1 within a log).
-    pub checkpoint_id: u64,
-    /// Shard count of the checkpointed runtime.
-    pub shards: u32,
-    /// Events the runtime had ingested (`route`d) when the barrier
-    /// completed — the replay offset into the source stream.
-    pub events_ingested: u64,
-    /// Per-shard emitted-match frontier (each shard's `emit_seq`).
-    pub emit_frontier: Vec<u64>,
-}
-
-impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.checkpoint_id);
-        w.put_u32(self.shards);
-        w.put_u64(self.events_ingested);
-        w.put_usize(self.emit_frontier.len());
-        for &f in &self.emit_frontier {
-            w.put_u64(f);
-        }
-        w.into_bytes()
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let checkpoint_id = r.get_u64()?;
-        let shards = r.get_u32()?;
-        let events_ingested = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut emit_frontier = Vec::with_capacity(n);
-        for _ in 0..n {
-            emit_frontier.push(r.get_u64()?);
-        }
-        Ok(Self {
-            checkpoint_id,
-            shards,
-            events_ingested,
-            emit_frontier,
-        })
+wire_record! {
+    /// Seals one checkpoint: the runtime-level facts recovery needs before
+    /// decoding any shard state.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Manifest {
+        /// Checkpoint id (monotone from 1 within a log).
+        pub checkpoint_id: u64,
+        /// Shard count of the checkpointed runtime.
+        pub shards: u32,
+        /// Events the runtime had ingested (`route`d) when the barrier
+        /// completed — the replay offset into the source stream.
+        pub events_ingested: u64,
+        /// Per-shard emitted-match frontier (each shard's `emit_seq`).
+        pub emit_frontier: Vec<u64>,
     }
 }
 
@@ -130,16 +101,16 @@ impl CheckpointLog {
             let mut r = Reader::new(&bytes[MAGIC.len()..]);
             let base = MAGIC.len();
             while !r.is_at_end() {
-                let kind = r.get_u8()?;
+                let kind = u8::get(&mut r)?;
                 if kind != KIND_SHARD && kind != KIND_MANIFEST {
                     return Err(CheckpointError::UnknownKind(kind));
                 }
-                let checkpoint_id = r.get_u64()?;
-                let shard = r.get_u32()?;
-                let len = r.get_u32()? as usize;
-                let crc = r.get_u64()?;
+                let checkpoint_id = u64::get(&mut r)?;
+                let shard = u32::get(&mut r)?;
+                let len = u32::get(&mut r)? as usize;
+                let crc = u64::get(&mut r)?;
                 let offset = base + (bytes.len() - base - r.remaining());
-                let payload = r.get_raw(len)?;
+                let payload = r.take(len)?;
                 if fnv64(payload) != crc {
                     return Err(CheckpointError::BadCrc);
                 }
@@ -186,14 +157,13 @@ impl CheckpointLog {
     }
 
     fn append_frame(&mut self, kind: u8, checkpoint_id: u64, shard: u32, payload: &[u8]) {
-        let mut w = Writer::new();
-        w.put_u8(kind);
-        w.put_u64(checkpoint_id);
-        w.put_u32(shard);
-        w.put_u32(payload.len() as u32);
-        w.put_u64(fnv64(payload));
-        let header = w.into_bytes();
-        self.bytes.extend_from_slice(&header);
+        let mut w = Writer::default();
+        kind.put(&mut w);
+        checkpoint_id.put(&mut w);
+        shard.put(&mut w);
+        (payload.len() as u32).put(&mut w);
+        fnv64(payload).put(&mut w);
+        self.bytes.extend_from_slice(&w.into_bytes());
         let offset = self.bytes.len();
         self.bytes.extend_from_slice(payload);
         self.frames.push(FrameDesc {
@@ -217,7 +187,7 @@ impl CheckpointLog {
             KIND_MANIFEST,
             manifest.checkpoint_id,
             MANIFEST_SHARD,
-            &manifest.encode(),
+            &manifest.to_wire(),
         );
     }
 
@@ -227,7 +197,7 @@ impl CheckpointLog {
             return Ok(None);
         };
         let payload = &self.bytes[desc.offset..desc.offset + desc.len];
-        Manifest::decode(&mut Reader::new(payload)).map(Some)
+        Manifest::from_wire(payload).map(Some)
     }
 
     /// Recovers one shard's state at checkpoint `checkpoint_id`:
@@ -250,7 +220,7 @@ impl CheckpointLog {
             }
             let payload = &self.bytes[desc.offset..desc.offset + desc.len];
             bytes_read += desc.len as u64;
-            let cp = ShardCheckpoint::decode(&mut Reader::new(payload))?;
+            let cp = ShardCheckpoint::from_wire(payload)?;
             for rec in &cp.events {
                 events.insert(rec);
             }

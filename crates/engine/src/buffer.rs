@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
+use acep_checkpoint::{BufferRec, CheckpointError, EventMap, EventTable};
 use acep_types::{Event, Timestamp};
 
 /// Stream-order key: the same `(timestamp, seq)` order as
@@ -162,6 +163,30 @@ impl EventBuffer {
     /// True if the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Checkpoint record of this buffer: its events' seqs, oldest first,
+    /// each interned into `table`.
+    pub(crate) fn export_rec(&self, table: &mut EventTable) -> BufferRec {
+        BufferRec {
+            seqs: self.iter().map(|e| table.intern(e)).collect(),
+        }
+    }
+
+    /// Replaces the contents with the events of a record written by
+    /// [`export_rec`](Self::export_rec), replayed as pushes in stream
+    /// order — the operations that built the original — so retention is
+    /// reproduced exactly.
+    pub(crate) fn import_rec(
+        &mut self,
+        rec: &BufferRec,
+        events: &EventMap,
+    ) -> Result<(), CheckpointError> {
+        self.buf.clear();
+        for &seq in &rec.seqs {
+            self.push(events.get(seq)?);
+        }
+        Ok(())
     }
 
     /// Iterates oldest → newest.

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use acep_checkpoint::{BufferRec, CheckpointError, EventMap, EventTable, FinalizerRec, PendingRec};
+use acep_checkpoint::{CheckpointError, EventMap, EventTable, FinalizerRec, PendingRec};
 use acep_types::{Event, SubKind, Timestamp};
 
 use crate::buffer::{stream_key, EventBuffer, KeySpan};
@@ -224,11 +224,6 @@ impl Finalizer {
     /// pending matches) into a checkpoint record, interning every
     /// referenced event into `table`.
     pub fn export_rec(&self, table: &mut EventTable) -> FinalizerRec {
-        fn buf_rec(buf: &EventBuffer, table: &mut EventTable) -> BufferRec {
-            BufferRec {
-                seqs: buf.iter().map(|e| table.intern(e)).collect(),
-            }
-        }
         let mut pending = Vec::with_capacity(self.pending.len());
         for pm in &self.pending {
             pending.push(PendingRec {
@@ -249,12 +244,17 @@ impl Finalizer {
             });
         }
         FinalizerRec {
-            neg: self.history.neg.iter().map(|b| buf_rec(b, table)).collect(),
+            neg: self
+                .history
+                .neg
+                .iter()
+                .map(|b| b.export_rec(table))
+                .collect(),
             kleene: self
                 .history
                 .kleene
                 .iter()
-                .map(|b| buf_rec(b, table))
+                .map(|b| b.export_rec(table))
                 .collect(),
             seen: self
                 .history
@@ -282,19 +282,9 @@ impl Finalizer {
         {
             return Err(CheckpointError::BadValue("finalizer shape"));
         }
-        let retention = self.retention;
-        let restore_buf = |seqs: &[u64]| -> Result<EventBuffer, CheckpointError> {
-            let mut buf = EventBuffer::new(retention);
-            for &seq in seqs {
-                buf.push(events.get(seq)?);
-            }
-            Ok(buf)
-        };
-        for (buf, rec) in self.history.neg.iter_mut().zip(&rec.neg) {
-            *buf = restore_buf(&rec.seqs)?;
-        }
-        for (buf, rec) in self.history.kleene.iter_mut().zip(&rec.kleene) {
-            *buf = restore_buf(&rec.seqs)?;
+        let buffers = self.history.neg.iter_mut().chain(&mut self.history.kleene);
+        for (buf, rec) in buffers.zip(rec.neg.iter().chain(&rec.kleene)) {
+            buf.import_rec(rec, events)?;
         }
         if let (Some(ring), Some(seqs)) = (self.history.seen.as_ref(), rec.seen.as_ref()) {
             // A restored finalizer starts on its own private (empty)

@@ -60,7 +60,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use acep_checkpoint::{BufferRec, CheckpointError, EventMap, EventTable, ExecutorRec, LazyExecRec};
+use acep_checkpoint::{CheckpointError, EventMap, EventTable, ExecutorRec, LazyExecRec};
 use acep_plan::LazyPlan;
 use acep_types::{Event, SubKind, Timestamp};
 
@@ -164,9 +164,7 @@ impl LazyExecutor {
             return Err(CheckpointError::BadValue("lazy executor shape"));
         }
         for (buf, rec) in exec.buffers.iter_mut().zip(&rec.buffers) {
-            for &seq in &rec.seqs {
-                buf.push(events.get(seq)?);
-            }
+            buf.import_rec(rec, events)?;
         }
         for &seq in &rec.triggers {
             let ev = events.get(seq)?;
@@ -330,13 +328,7 @@ impl Executor for LazyExecutor {
 
     fn export_rec(&self, table: &mut EventTable) -> ExecutorRec {
         ExecutorRec::Lazy(LazyExecRec {
-            buffers: self
-                .buffers
-                .iter()
-                .map(|b| BufferRec {
-                    seqs: b.iter().map(|e| table.intern(e)).collect(),
-                })
-                .collect(),
+            buffers: self.buffers.iter().map(|b| b.export_rec(table)).collect(),
             triggers: self.triggers.iter().map(|t| table.intern(&t.ev)).collect(),
             finalizer: self.finalizer.export_rec(table),
             comparisons: self.comparisons,

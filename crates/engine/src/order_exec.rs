@@ -34,9 +34,7 @@
 
 use std::sync::Arc;
 
-use acep_checkpoint::{
-    BufferRec, CheckpointError, EventMap, EventTable, ExecutorRec, OrderExecRec,
-};
+use acep_checkpoint::{CheckpointError, EventMap, EventTable, ExecutorRec, OrderExecRec};
 use acep_plan::OrderPlan;
 use acep_types::faultpoint::{self, FaultPoint};
 use acep_types::{Event, Timestamp};
@@ -121,15 +119,9 @@ impl OrderExecutor {
             return Err(CheckpointError::BadValue("order executor shape"));
         }
         for (buf, rec) in exec.buffers.iter_mut().zip(&rec.buffers) {
-            for &seq in &rec.seqs {
-                buf.push(events.get(seq)?);
-            }
+            buf.import_rec(rec, events)?;
         }
-        for (level, recs) in exec.levels.iter_mut().zip(&rec.levels) {
-            for p in recs {
-                level.push(Partial::restore_rec(&mut exec.store, p, events)?);
-            }
-        }
+        Partial::restore_levels(&mut exec.levels, &rec.levels, &mut exec.store, events)?;
         exec.finalizer.import_rec(&rec.finalizer, events)?;
         exec.comparisons = rec.comparisons;
         exec.events_since_sweep = rec.events_since_sweep as u32;
@@ -293,23 +285,8 @@ impl Executor for OrderExecutor {
 
     fn export_rec(&self, table: &mut EventTable) -> ExecutorRec {
         ExecutorRec::Order(OrderExecRec {
-            buffers: self
-                .buffers
-                .iter()
-                .map(|b| BufferRec {
-                    seqs: b.iter().map(|e| table.intern(e)).collect(),
-                })
-                .collect(),
-            levels: self
-                .levels
-                .iter()
-                .map(|level| {
-                    level
-                        .iter()
-                        .map(|p| p.export_rec(&self.store, table))
-                        .collect()
-                })
-                .collect(),
+            buffers: self.buffers.iter().map(|b| b.export_rec(table)).collect(),
+            levels: Partial::export_levels(&self.levels, &self.store, table),
             finalizer: self.finalizer.export_rec(table),
             comparisons: self.comparisons,
             events_since_sweep: self.events_since_sweep as u64,

@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use acep_checkpoint::{CheckpointError, EventMap, EventTable, PartialRec};
 use acep_types::{Event, Timestamp};
 
 /// Sentinel parent index: end of a binding chain.
@@ -286,17 +287,13 @@ impl Partial {
     /// oldest-first (the chain iterates newest-first) so
     /// [`restore_rec`](Self::restore_rec) can replay them as
     /// `seed` + `extend` calls.
-    pub fn export_rec(
-        &self,
-        store: &PartialStore,
-        table: &mut acep_checkpoint::EventTable,
-    ) -> acep_checkpoint::PartialRec {
+    pub fn export_rec(&self, store: &PartialStore, table: &mut EventTable) -> PartialRec {
         let mut slots: Vec<(u32, u64)> = self
             .chain(store)
             .map(|(slot, ev)| (slot as u32, table.intern(ev)))
             .collect();
         slots.reverse();
-        acep_checkpoint::PartialRec {
+        PartialRec {
             slots,
             min_ts: self.min_ts,
             max_ts: self.max_ts,
@@ -310,23 +307,54 @@ impl Partial {
     /// recorded bounds are authoritative.
     pub fn restore_rec(
         store: &mut PartialStore,
-        rec: &acep_checkpoint::PartialRec,
-        events: &acep_checkpoint::EventMap,
-    ) -> Result<Self, acep_checkpoint::CheckpointError> {
+        rec: &PartialRec,
+        events: &EventMap,
+    ) -> Result<Self, CheckpointError> {
         let mut iter = rec.slots.iter();
         let &(slot0, seq0) = iter
             .next()
-            .ok_or(acep_checkpoint::CheckpointError::BadValue("empty partial"))?;
+            .ok_or(CheckpointError::BadValue("empty partial"))?;
         let mut p = Partial::seed(store, slot0 as usize, events.get(seq0)?);
         for &(slot, seq) in iter {
             p = p.extend(store, slot as usize, events.get(seq)?);
         }
         if p.bound != rec.bound {
-            return Err(acep_checkpoint::CheckpointError::BadValue("partial bound"));
+            return Err(CheckpointError::BadValue("partial bound"));
         }
         p.min_ts = rec.min_ts;
         p.max_ts = rec.max_ts;
         Ok(p)
+    }
+
+    /// Checkpoint records of an executor's partial lists (order-executor
+    /// levels, tree-executor node stores), list by list.
+    pub(crate) fn export_levels(
+        levels: &[Vec<Partial>],
+        store: &PartialStore,
+        table: &mut EventTable,
+    ) -> Vec<Vec<PartialRec>> {
+        levels
+            .iter()
+            .map(|level| level.iter().map(|p| p.export_rec(store, table)).collect())
+            .collect()
+    }
+
+    /// Appends the partials of records written by
+    /// [`export_levels`](Self::export_levels) to the matching lists of
+    /// `levels`, pushing their chains into `store`. The caller checks
+    /// that the list counts agree.
+    pub(crate) fn restore_levels(
+        levels: &mut [Vec<Partial>],
+        recs: &[Vec<PartialRec>],
+        store: &mut PartialStore,
+        events: &EventMap,
+    ) -> Result<(), CheckpointError> {
+        for (level, recs) in levels.iter_mut().zip(recs) {
+            for p in recs {
+                level.push(Partial::restore_rec(store, p, events)?);
+            }
+        }
+        Ok(())
     }
 
     /// Materializes the per-slot event vector (`None` = unbound or

@@ -210,11 +210,7 @@ impl TreeExecutor {
         if rec.store.len() != exec.store.len() {
             return Err(CheckpointError::BadValue("tree executor shape"));
         }
-        for (node, recs) in exec.store.iter_mut().zip(&rec.store) {
-            for p in recs {
-                node.push(Partial::restore_rec(&mut exec.pstore, p, events)?);
-            }
-        }
+        Partial::restore_levels(&mut exec.store, &rec.store, &mut exec.pstore, events)?;
         exec.finalizer.import_rec(&rec.finalizer, events)?;
         exec.comparisons = rec.comparisons;
         exec.events_since_sweep = rec.events_since_sweep as u32;
@@ -364,15 +360,7 @@ impl Executor for TreeExecutor {
 
     fn export_rec(&self, table: &mut EventTable) -> ExecutorRec {
         ExecutorRec::Tree(TreeExecRec {
-            store: self
-                .store
-                .iter()
-                .map(|node| {
-                    node.iter()
-                        .map(|p| p.export_rec(&self.pstore, table))
-                        .collect()
-                })
-                .collect(),
+            store: Partial::export_levels(&self.store, &self.pstore, table),
             finalizer: self.finalizer.export_rec(table),
             comparisons: self.comparisons,
             events_since_sweep: self.events_since_sweep as u64,

@@ -8,6 +8,8 @@ use acep_plan::PlannerKind;
 use acep_stats::StatsConfig;
 use acep_types::{Event, Pattern};
 
+pub mod heap;
+
 /// Runs a full adaptive engine over a stream and returns the sorted
 /// match keys (the canonical detection set).
 pub fn run_adaptive(

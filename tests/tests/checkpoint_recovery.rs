@@ -24,7 +24,11 @@
 //!   match multiset, visible in [`AuditLog::migration_bursts`],
 //! * **telemetry** — checkpoint bytes and restore latency surface as
 //!   [`TelemetryEvent::Checkpoint`]/[`Restore`] records in the audit
-//!   log.
+//!   log,
+//! * **hostile input** — a shard frame with a valid checksum but a
+//!   truncated, bit-flipped or lying payload fails to decode without
+//!   panicking, and a corrupt length prefix cannot make recovery
+//!   reserve memory out of proportion to the frame.
 //!
 //! [`AuditLog::migration_bursts`]: acep_stream::AuditLog::migration_bursts
 //! [`TelemetryEvent::Checkpoint`]: acep_stream::TelemetryEvent::Checkpoint
@@ -34,13 +38,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use acep_checkpoint::{
-    BranchCtlRec, BufferRec, CollectorRec, ControllerRec, CountersRec, EventRec, ExecutorRec,
-    FinalizerRec, GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec, Manifest, MigratingRec,
-    OrderExecRec, PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint, StatsRec,
-    TreeExecRec, ValueRec,
+    BranchCtlRec, BufferRec, CheckpointError, CollectorRec, ControllerRec, CountersRec, EventRec,
+    ExecutorRec, FinalizerRec, GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec, Manifest,
+    MigratingRec, OrderExecRec, PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint,
+    StatsRec, TreeExecRec, ValueRec,
 };
 use acep_core::{AdaptiveConfig, PolicyKind};
 use acep_engine::MatchKey;
+use acep_integration_tests::heap::{peak_bytes, Counting};
 use acep_plan::{EvalPlan, LazyPlan, OrderPlan, PlannerKind, TreeNode, TreePlan};
 use acep_stats::StatsConfig;
 use acep_stream::{
@@ -50,6 +55,9 @@ use acep_stream::{
 };
 use acep_types::{attr, mix64, Event, EventTypeId, Pattern, PatternExpr, Value};
 use acep_workloads::{DatasetKind, PatternSetKind, Scenario};
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 const NUM_KEYS: u64 = 5;
 const EVENTS_PER_KEY: usize = 700;
@@ -902,6 +910,79 @@ fn golden_wire_format_v2_is_stable() {
     assert_eq!(decoded, checkpoint, "decode(encode(x)) != x");
     assert_eq!(events.get(1).unwrap().timestamp, 100);
     assert_eq!(events.get(2).unwrap().attrs[1], Value::Str("acep".into()));
+}
+
+// ---------------------------------------------------------------------
+// Hostile input.
+// ---------------------------------------------------------------------
+
+/// Frames `payload` as shard 0 of checkpoint 1 under a valid checksum,
+/// then parses the log and recovers the shard.
+fn recover_framed(payload: &[u8]) -> Result<ShardCheckpoint, CheckpointError> {
+    let mut log = CheckpointLog::new();
+    log.append_shard(1, 0, payload);
+    let log = CheckpointLog::from_bytes(log.as_bytes().to_vec())?;
+    log.recover_shard(1, 0).map(|(cp, _, _)| cp)
+}
+
+/// The checksum guards against bit rot, not against a writer that framed
+/// garbage: every strict prefix of the golden shard payload must fail to
+/// decode, and every single-byte flip must decode to an error or to some
+/// checkpoint — never panic.
+#[test]
+fn truncated_and_flipped_payloads_fail_cleanly() {
+    let payload = golden_checkpoint().to_bytes();
+    assert_eq!(recover_framed(&payload), Ok(golden_checkpoint()));
+    for cut in 0..payload.len() {
+        assert!(
+            recover_framed(&payload[..cut]).is_err(),
+            "a {cut}-byte prefix decoded"
+        );
+    }
+    for i in 0..payload.len() {
+        let mut flipped = payload.clone();
+        flipped[i] ^= 0xFF;
+        let _ = recover_framed(&flipped);
+    }
+}
+
+/// A length prefix may claim as many elements as bytes remain, but the
+/// decoder must not reserve that many elements' worth of memory up
+/// front: a ~1 MiB shard payload whose key count claims one key per
+/// remaining byte (32 bytes of `KeyStateRec` each) must fail within 4×
+/// the payload's size of peak heap.
+#[test]
+fn a_lying_length_prefix_cannot_reserve_a_multiple_of_the_frame() {
+    const BODY: usize = 1 << 20;
+    let empty = ShardCheckpoint {
+        shard: 0,
+        counters: CountersRec::default(),
+        reorder: None,
+        controllers: vec![],
+        keys: vec![],
+        retire_cursor: 0,
+        events: vec![],
+    };
+    // The payload ends in the key count, the retirement cursor and the
+    // event count, all zero; keep what precedes the key count.
+    let mut payload = empty.to_bytes();
+    assert!(payload.ends_with(&[0; 24]));
+    payload.truncate(payload.len() - 24);
+    payload.extend_from_slice(&(BODY as u64).to_le_bytes());
+    payload.resize(payload.len() + BODY, 0xFF);
+
+    let mut log = CheckpointLog::new();
+    log.append_shard(1, 0, &payload);
+    let bytes = log.as_bytes().to_vec();
+    let (result, peak) = peak_bytes(|| {
+        CheckpointLog::from_bytes(bytes).and_then(|log| log.recover_shard(1, 0).map(|_| ()))
+    });
+    assert!(result.is_err(), "a lying key count decoded");
+    assert!(
+        peak <= 4 * payload.len() as isize,
+        "decoding a {}-byte payload peaked at {peak} heap bytes",
+        payload.len()
+    );
 }
 
 // ---------------------------------------------------------------------

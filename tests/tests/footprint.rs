@@ -12,69 +12,16 @@
 //! `ACEP_PRINT_GOLDEN=1 cargo test -p acep-integration-tests --test
 //! footprint -- --nocapture` to print the current figures).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use acep_engine::{build_executor, ExecContext};
+use acep_integration_tests::heap::{live_bytes, Counting};
 use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreePlan};
 use acep_types::Pattern;
 use acep_workloads::{ClickstreamConfig, DatasetKind, IotConfig, PatternSetKind, Scenario};
 
-/// Counts the bytes allocated minus the bytes freed, per thread (so the
-/// harness's own threads do not disturb a measurement).
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn add(bytes: isize) {
-    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
-}
-
-// SAFETY: every call forwards to the system allocator unchanged; the
-// counter is a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            add(layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            add(layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        add(-(layout.size() as isize));
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            add(new_size as isize - layout.size() as isize);
-        }
-        p
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` and returns its result with the heap bytes it left live.
-fn live_bytes<T>(f: impl FnOnce() -> T) -> (T, isize) {
-    let before = LIVE.with(Cell::get);
-    let value = f();
-    (value, LIVE.with(Cell::get) - before)
-}
 
 /// `(pattern, what, bytes)`: the figures measured on the build before
 /// join steps were compiled into cross-pair tests (the tree executor
