@@ -20,7 +20,16 @@
 //! rare-first order — with the pass's comparison count as the
 //! throughput unit: `thrpt` reads comparisons per second, so
 //! `1000 / (M elem/s)` is ns per comparison, the whole join step
-//! (window, cross-pair tests, merges) included.
+//! (window, cross-pair tests, merges) included. A comparison the tree
+//! executor decides by skipping a whole group of stored partials (their
+//! shared key event fails) costs a share of one test, so the tree rows
+//! read more comparisons per second the more candidates one key event
+//! rejects. On a 2-core Xeon, three alternating runs each read
+//! `tree_and5_bushy` 40–50 ms per pass (57–73 M elem/s) before stored
+//! partials were grouped by key event and 11.8–12.6 ms (230–245 M
+//! elem/s) after, `tree_and5_left_deep` 7.5–13.3 → 7.5–7.9 ms and the
+//! control `order_and5` 9.3–17.9 → 9.9–15.3 ms: the bushy plan still
+//! costs more per pass than the left-deep one.
 //!
 //! The two `stocks_hot` layers in isolation: `cascade/stocks_seq3` (the
 //! order executor's `SEQ` cascades over buffers of earlier events; ns

@@ -1,5 +1,6 @@
 //! Regeneration of every table and figure of the paper's evaluation
-//! (§5 and Appendix A). See DESIGN.md for the experiment index.
+//! (§5 and Appendix A). The `experiments` binary's usage text
+//! (`src/bin/experiments.rs`) is the experiment index.
 
 use std::sync::Arc;
 
@@ -120,8 +121,8 @@ pub struct MethodRow {
     pub method: &'static str,
     /// Pattern size.
     pub size: usize,
-    /// Aggregated run result (averaged over pattern sets where
-    /// applicable).
+    /// Run result aggregated over the pattern sets: summed counts,
+    /// throughput and overhead by total time.
     pub result: RunResult,
     /// Throughput gain over the static baseline at the same size.
     pub gain_over_static: f64,
@@ -267,24 +268,45 @@ pub fn methods(t_opt: f64, d_opt: f64) -> Vec<(&'static str, PolicyKind)> {
     ]
 }
 
-/// Method comparison for one combo over the given pattern sets
-/// (averaged across sets): Figs. 6–9 use all five sets; the appendix
-/// figures pass a single set.
+/// Method comparison for one combo over the given pattern sets: Figs.
+/// 6–9 use all five sets; the appendix figures pass a single set. Each
+/// row aggregates its sets by total time — throughput is total events
+/// over total wall time and overhead is total decision time over total
+/// wall time — so a slow set weighs by the time it takes, not as one
+/// set among five.
 pub fn method_comparison(
     combo: Combo,
     sets: &[PatternSetKind],
     scale: &Scale,
     harness: &HarnessConfig,
 ) -> Vec<MethodRow> {
+    method_runs(combo, sets, scale, harness).0
+}
+
+/// One method's run on one pattern set at one size.
+struct SetRun {
+    method: &'static str,
+    size: usize,
+    set: PatternSetKind,
+    result: RunResult,
+}
+
+/// [`method_comparison`]'s rows, with the per-set runs they aggregate.
+fn method_runs(
+    combo: Combo,
+    sets: &[PatternSetKind],
+    scale: &Scale,
+    harness: &HarnessConfig,
+) -> (Vec<MethodRow>, Vec<SetRun>) {
     let inputs = ComboInputs::new(combo, scale);
     let (t_opt, d_opt) = tune(combo, &inputs, scale, harness);
     let method_list = methods(t_opt, d_opt);
 
     let mut rows: Vec<MethodRow> = Vec::new();
+    let mut runs = Vec::new();
     for &size in &scale.sizes {
         let mut static_throughput = 0.0;
         for (name, policy) in &method_list {
-            // Average the metrics across pattern sets.
             let mut agg = RunResult {
                 throughput: 0.0,
                 matches: 0,
@@ -293,6 +315,8 @@ pub fn method_comparison(
                 overhead_pct: 0.0,
                 events: 0,
             };
+            // Total wall and decision seconds over the sets.
+            let (mut wall, mut overhead) = (0.0, 0.0);
             for &set in sets {
                 let pattern = inputs.scenario.pattern(set, size);
                 let r = run_one(
@@ -303,12 +327,27 @@ pub fn method_comparison(
                     &inputs.events,
                     harness,
                 );
-                agg.throughput += r.throughput / sets.len() as f64;
+                let secs = if r.throughput > 0.0 {
+                    r.events as f64 / r.throughput
+                } else {
+                    0.0
+                };
+                wall += secs;
+                overhead += secs * r.overhead_pct / 100.0;
                 agg.matches += r.matches;
                 agg.reoptimizations += r.reoptimizations;
                 agg.planner_invocations += r.planner_invocations;
-                agg.overhead_pct += r.overhead_pct / sets.len() as f64;
-                agg.events = r.events;
+                agg.events += r.events;
+                runs.push(SetRun {
+                    method: name,
+                    size,
+                    set,
+                    result: r,
+                });
+            }
+            if wall > 0.0 {
+                agg.throughput = agg.events as f64 / wall;
+                agg.overhead_pct = 100.0 * overhead / wall;
             }
             if *name == "static" {
                 static_throughput = agg.throughput;
@@ -326,7 +365,7 @@ pub fn method_comparison(
             });
         }
     }
-    rows
+    (rows, runs)
 }
 
 /// Prints a method-comparison table (one of Figs. 6–9 / 10–29).
@@ -349,9 +388,28 @@ pub fn print_method_comparison(title: &str, rows: &[MethodRow]) {
     }
 }
 
-/// Runs one of Figs. 6–9 (all five pattern sets averaged).
+/// Prints the per-set runs behind a method-comparison table.
+fn print_set_runs(title: &str, runs: &[SetRun]) {
+    println!("\n## {title}\n");
+    println!("| size | method | pattern set | throughput (ev/s) | reoptimizations | overhead % |");
+    println!("|---|---|---|---|---|---|");
+    for r in runs {
+        println!(
+            "| {} | {} | {} | {:.0} | {} | {:.2} |",
+            r.size,
+            r.method,
+            r.set.label(),
+            r.result.throughput,
+            r.result.reoptimizations,
+            r.result.overhead_pct
+        );
+    }
+}
+
+/// Runs one of Figs. 6–9 (all five pattern sets, aggregated by total
+/// time, then the per-set runs).
 pub fn fig6to9(combo: Combo, scale: &Scale, harness: &HarnessConfig) -> Vec<MethodRow> {
-    let rows = method_comparison(combo, &PatternSetKind::ALL, scale, harness);
+    let (rows, runs) = method_runs(combo, &PatternSetKind::ALL, scale, harness);
     let fig = match (combo.dataset, combo.planner) {
         (DatasetKind::Traffic, PlannerKind::Greedy) => "Figure 6",
         (DatasetKind::Traffic, PlannerKind::ZStream) => "Figure 7",
@@ -363,11 +421,12 @@ pub fn fig6to9(combo: Combo, scale: &Scale, harness: &HarnessConfig) -> Vec<Meth
     };
     print_method_comparison(
         &format!(
-            "{fig}: adaptation methods on {} (all pattern sets)",
+            "{fig}: adaptation methods on {} (all pattern sets, by total time)",
             combo.label()
         ),
         &rows,
     );
+    print_set_runs(&format!("{fig}: per pattern set"), &runs);
     rows
 }
 

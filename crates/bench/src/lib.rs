@@ -1,8 +1,8 @@
 //! # acep-bench
 //!
 //! Experiment harness and benchmark support regenerating every table and
-//! figure of the paper's evaluation (see DESIGN.md, per-experiment
-//! index).
+//! figure of the paper's evaluation (the `experiments` binary's usage
+//! text is the per-experiment index).
 //!
 //! * [`harness`] — run one configuration, scan `d`/`t` parameters,
 //!   estimate `d_avg`;

@@ -64,7 +64,7 @@ impl KeyedEngine {
                 )
             })
             .collect();
-        Self::share_seen_ring(&mut branches);
+        Self::share_seen_ring(controller, &mut branches);
         Self {
             branches,
             key,
@@ -80,9 +80,13 @@ impl KeyedEngine {
     /// generations spliced in by later migrations inherit the ring
     /// through the finalizer-history handoff. The local handle is
     /// dropped deliberately — a permanently idle sharer would pin the
-    /// ring's prune cutoff at zero. No-op for non-restrictive policies
-    /// (no finalizer keeps a ring to share).
-    fn share_seen_ring(branches: &mut [MigratingExecutor]) {
+    /// ring's prune cutoff at zero. Only a restrictive policy's
+    /// finalizer keeps a ring, so without one no ring is built.
+    fn share_seen_ring(controller: &QueryController, branches: &mut [MigratingExecutor]) {
+        let restrictive = |b| controller.branch_ctx(b).policy.is_restrictive();
+        if !(0..branches.len()).any(restrictive) {
+            return;
+        }
         let ring = SharedSeen::new();
         for b in branches {
             b.share_seen(&ring);
@@ -269,7 +273,7 @@ impl KeyedEngine {
         // Restored finalizers come back with private rings (the record
         // holds each one's contents); re-share them — the merge is
         // idempotent, so the shared ring ends up with exactly the union.
-        Self::share_seen_ring(&mut branches);
+        Self::share_seen_ring(controller, &mut branches);
         Ok(Self {
             branches,
             key,

@@ -9,7 +9,7 @@
 //!   in a pending queue until their deadline (`min_ts + W`) passes,
 //!   invalidating/extending them as further events arrive;
 //! * attaches the maximal set of qualifying events to each Kleene slot
-//!   (SASE+-style "ALL" semantics, see DESIGN.md);
+//!   (SASE+-style "ALL" semantics, see the README's match semantics);
 //! * evaluates conditions spanning three or more variables.
 //!
 //! Admission is where arena-backed partials are *materialized*: a
@@ -494,7 +494,7 @@ impl Finalizer {
 
     fn emit(
         &mut self,
-        completed: Completed,
+        mut completed: Completed,
         kleene_sets: Vec<Vec<Arc<Event>>>,
         deadline: Timestamp,
         now: Timestamp,
@@ -514,12 +514,12 @@ impl Finalizer {
         let mut bindings = Vec::with_capacity(self.ctx.n);
         for &slot in &self.ctx.join_slots {
             let ev = completed.events[slot]
-                .as_ref()
+                .take()
                 .expect("admitted combination binds every join slot");
-            bindings.push((self.ctx.vars[slot], vec![Arc::clone(ev)]));
+            bindings.push((self.ctx.vars[slot], vec![ev]));
         }
-        for (ki, &slot) in self.ctx.kleene_slots.iter().enumerate() {
-            bindings.push((self.ctx.vars[slot], kleene_sets[ki].clone()));
+        for (&slot, set) in self.ctx.kleene_slots.iter().zip(kleene_sets) {
+            bindings.push((self.ctx.vars[slot], set));
         }
         out.push(Match {
             bindings,

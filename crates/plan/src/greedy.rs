@@ -164,8 +164,8 @@ mod tests {
 
     #[test]
     fn recorded_conditions_evaluate_to_planner_costs() {
-        // DCS invariant 6 of DESIGN.md: lhs of block 0's conditions
-        // evaluates to the smallest rate.
+        // The lhs of block 0's conditions evaluates to the smallest
+        // rate: the greedy choice of the first slot.
         let p = seq_pattern(4);
         let s = StatSnapshot::from_rates(vec![40.0, 10.0, 30.0, 20.0]);
         let mut rec = CollectingRecorder::new();

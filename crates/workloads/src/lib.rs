@@ -7,7 +7,7 @@
 //! The real datasets (City of Aarhus traffic sensors; NASDAQ price
 //! updates) are not redistributable, so this crate implements generators
 //! that reproduce exactly the properties the paper says drive the
-//! results (see DESIGN.md, Substitutions):
+//! results:
 //!
 //! * [`traffic`] — highly skewed, stable arrival rates and
 //!   selectivities; rare but extreme shifts;

@@ -9,8 +9,8 @@ use crate::sampling::exp_interarrival_ms;
 
 /// A synthetic dataset: per-type arrival-rate dynamics plus attribute
 /// distributions. Implementations reproduce the *statistical profile*
-/// the paper reports for its two real datasets (see DESIGN.md,
-/// Substitutions).
+/// the paper reports for its two real datasets (see the crate docs for
+/// what each generator substitutes).
 pub trait DatasetModel {
     /// Number of event types the model emits.
     fn num_types(&self) -> usize;

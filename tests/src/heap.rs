@@ -9,13 +9,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Forwards to the system allocator, counting the bytes allocated minus
-/// the bytes freed on the calling thread and the high-water mark of
-/// that count.
+/// the bytes freed on the calling thread, the high-water mark of that
+/// count and the allocator calls that hand out memory (`alloc`,
+/// `alloc_zeroed` and `realloc`).
 pub struct Counting;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 fn add(bytes: isize) {
@@ -32,6 +38,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
+            count_alloc();
             add(layout.size() as isize);
         }
         p
@@ -40,6 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
+            count_alloc();
             add(layout.size() as isize);
         }
         p
@@ -53,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
+            count_alloc();
             add(new_size as isize - layout.size() as isize);
         }
         p
@@ -73,4 +82,12 @@ pub fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, isize) {
     PEAK.with(|peak| peak.set(before));
     let value = f();
     (value, PEAK.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the number of allocator calls
+/// (`alloc`, `alloc_zeroed`, `realloc`) it made.
+pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCS.with(Cell::get);
+    let value = f();
+    (value, ALLOCS.with(Cell::get) - before)
 }

@@ -11,11 +11,17 @@
 //! one pinned below; a deliberate change lowers the pins (run with
 //! `ACEP_PRINT_GOLDEN=1 cargo test -p acep-integration-tests --test
 //! footprint -- --nocapture` to print the current figures).
+//!
+//! A second table pins the allocator calls `QueryController::new_engine_for`
+//! makes per key under skip-till-any: a key engine is instantiated on a
+//! key's first event, so an allocation made and dropped there is paid
+//! once per key.
 
 use std::sync::Arc;
 
+use acep_core::{AdaptiveConfig, EngineTemplate};
 use acep_engine::{build_executor, ExecContext};
-use acep_integration_tests::heap::{live_bytes, Counting};
+use acep_integration_tests::heap::{allocations, live_bytes, Counting};
 use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreePlan};
 use acep_types::Pattern;
 use acep_workloads::{ClickstreamConfig, DatasetKind, IotConfig, PatternSetKind, Scenario};
@@ -40,6 +46,12 @@ const PINNED: &[(&str, &str, isize)] = &[
     ("traffic/and5", "tree", 1224),
     ("traffic/and5", "lazy", 576),
 ];
+
+/// `(pattern, allocator calls)` of `new_engine_for` under skip-till-any,
+/// measured on the build that stopped building a seen-event ring no
+/// finalizer keeps (two allocations fewer per key).
+const PINNED_ENGINE_ALLOCS: &[(&str, usize)] =
+    &[("iot/seq3", 7), ("click/funnel5", 9), ("traffic/and5", 8)];
 
 fn patterns() -> Vec<(&'static str, Pattern)> {
     vec![
@@ -88,6 +100,33 @@ fn per_key_structures_do_not_grow() {
         assert!(
             bytes <= pinned,
             "{name} {what}: {bytes} live heap bytes, pinned at most {pinned}"
+        );
+    }
+}
+
+#[test]
+fn key_engines_allocate_no_more_than_pinned() {
+    let mut rows = Vec::new();
+    for (name, pattern) in patterns() {
+        // More types than any of the patterns uses.
+        let template = EngineTemplate::new(&pattern, 64, AdaptiveConfig::default()).unwrap();
+        let controller = template.controller();
+        let (engine, calls) = allocations(|| controller.new_engine_for(7));
+        drop(engine);
+        rows.push((name, calls));
+    }
+    if std::env::var("ACEP_PRINT_GOLDEN").is_ok() {
+        for (name, calls) in &rows {
+            println!("    (\"{name}\", {calls}),");
+        }
+        return;
+    }
+    assert_eq!(rows.len(), PINNED_ENGINE_ALLOCS.len(), "row set changed");
+    for ((name, calls), (pn, pinned)) in rows.iter().zip(PINNED_ENGINE_ALLOCS) {
+        assert_eq!(name, pn, "row order changed");
+        assert!(
+            calls <= pinned,
+            "{name}: new_engine_for made {calls} allocator calls, pinned at most {pinned}"
         );
     }
 }

@@ -922,3 +922,282 @@ proptest! {
         prop_assert!(is_subset(&next, &any), "next ⊄ any");
     }
 }
+
+// ---------------------------------------------------------------------
+// Random bushy join trees.
+// ---------------------------------------------------------------------
+
+/// One element of a generated chain pattern, in expression order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Elem {
+    /// A join slot; consecutive join slots are tied by `x` non-decreasing.
+    Join,
+    /// A Kleene slot collecting the events with `x > 0`.
+    Kleene,
+    /// A negated type whose `x` equals the preceding join slot's.
+    Neg,
+}
+
+/// A generated pattern: `AND` or `SEQ` over `elems` within [`WINDOW`].
+/// Positive element `p` (joins and Kleene counted) has type `p`, the
+/// negated element the type after the last positive one.
+#[derive(Debug)]
+struct ChainSpec {
+    seq: bool,
+    elems: Vec<Elem>,
+}
+
+impl ChainSpec {
+    fn positives(&self) -> usize {
+        self.elems.iter().filter(|e| **e != Elem::Neg).count()
+    }
+
+    fn type_of(&self, i: usize) -> u32 {
+        if self.elems[i] == Elem::Neg {
+            self.positives() as u32
+        } else {
+            self.elems[..i].iter().filter(|e| **e != Elem::Neg).count() as u32
+        }
+    }
+
+    /// Expression indices of the join slots, in pattern order.
+    fn joins(&self) -> Vec<usize> {
+        (0..self.elems.len())
+            .filter(|&i| self.elems[i] == Elem::Join)
+            .collect()
+    }
+
+    fn pattern(&self) -> Pattern {
+        let prims = self.elems.iter().enumerate().map(|(i, e)| {
+            let p = PatternExpr::prim(EventTypeId(self.type_of(i)));
+            match e {
+                Elem::Join => p,
+                Elem::Kleene => PatternExpr::kleene(p),
+                Elem::Neg => PatternExpr::neg(p),
+            }
+        });
+        let expr = if self.seq {
+            PatternExpr::seq(prims)
+        } else {
+            PatternExpr::and(prims)
+        };
+        let mut b = Pattern::builder("chain").expr(expr);
+        for w in self.joins().windows(2) {
+            b = b.condition(attr(w[0] as u32, 0).le(attr(w[1] as u32, 0)));
+        }
+        for (i, e) in self.elems.iter().enumerate() {
+            let v = i as u32;
+            b = match e {
+                Elem::Join => b,
+                Elem::Kleene => b.condition(attr(v, 0).gt(constant(0))),
+                Elem::Neg => b.condition(attr(v, 0).eq(attr(v - 1, 0))),
+            };
+        }
+        b.window(WINDOW).build().unwrap()
+    }
+}
+
+/// Naive oracle for a [`ChainSpec`]: every combination of join events
+/// (in slot order under `SEQ`) within the window whose adjacent join
+/// slots keep `x` non-decreasing; a Kleene slot binds the maximal
+/// non-empty set of its qualifying events strictly between its
+/// neighbouring join events, and a negation rejects the combination if
+/// an equal-`x` negated event lies strictly between its neighbours.
+fn oracle_chain(spec: &ChainSpec, events: &[Arc<Event>], policy: SelectionPolicy) -> Vec<MatchKey> {
+    fn choose<'e>(
+        spec: &ChainSpec,
+        events: &'e [Arc<Event>],
+        joins: &[usize],
+        bound: &mut Vec<&'e Arc<Event>>,
+        done: &mut dyn FnMut(&[&'e Arc<Event>]),
+    ) {
+        let depth = bound.len();
+        if depth == joins.len() {
+            done(bound);
+            return;
+        }
+        for e in of_type(events, spec.type_of(joins[depth])) {
+            if let Some(prev) = bound.last() {
+                if (spec.seq && !before(prev, e)) || x(prev) > x(e) {
+                    continue;
+                }
+            }
+            let lo = bound
+                .iter()
+                .map(|b| b.timestamp)
+                .min()
+                .unwrap_or(e.timestamp);
+            let hi = bound
+                .iter()
+                .map(|b| b.timestamp)
+                .max()
+                .unwrap_or(e.timestamp);
+            if hi.max(e.timestamp) - lo.min(e.timestamp) > WINDOW {
+                continue;
+            }
+            bound.push(e);
+            choose(spec, events, joins, bound, done);
+            bound.pop();
+        }
+    }
+
+    let joins = spec.joins();
+    let position = |i: usize| joins.iter().position(|&j| j == i).unwrap();
+    let mut keys = Vec::new();
+    choose(spec, events, &joins, &mut Vec::new(), &mut |bound| {
+        // Kleene and negation elements sit between two join slots.
+        let between = |i: usize| {
+            let (lo, hi) = (bound[position(i - 1)], bound[position(i + 1)]);
+            of_type(events, spec.type_of(i)).filter(move |e| before(lo, e) && before(e, hi))
+        };
+        let mut set: Vec<&Arc<Event>> = Vec::new();
+        let mut parts = Vec::new();
+        for (i, elem) in spec.elems.iter().enumerate() {
+            match elem {
+                Elem::Join => parts.push((i as u32, vec![bound[position(i)].seq])),
+                Elem::Kleene => {
+                    set = between(i).filter(|e| x(e) > 0).collect();
+                    if set.is_empty() {
+                        return;
+                    }
+                    parts.push((i as u32, set.iter().map(|e| e.seq).collect()));
+                }
+                Elem::Neg => {
+                    let anchor = x(bound[position(i - 1)]);
+                    if between(i).any(|e| x(e) == anchor) {
+                        return;
+                    }
+                }
+            }
+        }
+        // Join position `j` may take `g` if the type fits and `x` stays
+        // ordered against the bound chain neighbours.
+        let qualify = |j: usize, g: &Event, known: &[usize]| {
+            g.type_id == EventTypeId(spec.type_of(joins[j]))
+                && known.iter().all(|&q| {
+                    (q + 1 != j || x(bound[q]) <= x(g)) && (j + 1 != q || x(g) <= x(bound[q]))
+                })
+        };
+        if policy_ok(policy, events, spec.seq, bound, &set, &qualify) {
+            keys.push(MatchKey::from_parts(parts));
+        }
+    });
+    sort_dedup(keys)
+}
+
+/// Deterministic generator for the random-tree properties.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n
+    }
+
+    fn shuffled(&mut self, n: usize) -> Vec<usize> {
+        let mut v: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            v.swap(i, self.below(i as u64 + 1) as usize);
+        }
+        v
+    }
+
+    /// A random binary join tree over a random order of the slots
+    /// `0..n`, children before their parent.
+    fn tree(&mut self, n: usize) -> TreePlan {
+        fn build(rng: &mut Lcg, slots: &[usize], nodes: &mut Vec<acep_plan::TreeNode>) -> usize {
+            let node = if let [slot] = slots {
+                acep_plan::TreeNode::Leaf { slot: *slot }
+            } else {
+                let cut = 1 + rng.below(slots.len() as u64 - 1) as usize;
+                let left = build(rng, &slots[..cut], nodes);
+                let right = build(rng, &slots[cut..], nodes);
+                acep_plan::TreeNode::Internal { left, right }
+            };
+            nodes.push(node);
+            nodes.len() - 1
+        }
+        let slots = self.shuffled(n);
+        let mut nodes = Vec::new();
+        let root = build(self, &slots, &mut nodes);
+        TreePlan { nodes, root }
+    }
+}
+
+/// Runs `plan` under `policy` and returns the sorted emitted keys, with
+/// duplicates kept.
+fn run_plan_multiset(
+    pattern: &Pattern,
+    policy: SelectionPolicy,
+    plan: &EvalPlan,
+    events: &[Arc<Event>],
+) -> Vec<MatchKey> {
+    let ctx = ExecContext::compile_with_policy(&pattern.canonical().branches[0], policy).unwrap();
+    let mut exec = build_executor(ctx, plan);
+    let mut out = Vec::new();
+    for ev in events {
+        exec.on_event(ev, &mut out);
+    }
+    exec.finish(&mut out);
+    let mut keys: Vec<MatchKey> = out.iter().map(Match::key).collect();
+    keys.sort();
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random bushy join trees over 3–6 slots — `AND` and `SEQ` chains,
+    /// a `SEQ` with an interior Kleene slot and one with an interior
+    /// negation, on plain and tie-heavy streams — emit exactly the naive
+    /// oracle's multiset, as does the order executor under a random
+    /// order, under skip-till-any and under skip-till-next (whose
+    /// `prune_join` drops stored partials on sequences).
+    #[test]
+    fn random_bushy_trees_match_oracle_and_order_plans(
+        seed in 0u64..1 << 48,
+        len in 20usize..80,
+    ) {
+        let mut rng = Lcg(seed);
+        let joins = 3 + rng.below(4) as usize;
+        let variant = rng.below(4);
+        let mut elems = vec![Elem::Join; joins];
+        match variant {
+            2 => elems.insert(1 + rng.below(joins as u64 - 1) as usize, Elem::Kleene),
+            3 => elems.insert(1 + rng.below(joins as u64 - 1) as usize, Elem::Neg),
+            _ => {}
+        }
+        let spec = ChainSpec { seq: variant != 0, elems };
+        let ties = rng.below(2) == 0;
+        let types = spec.positives() as u64 + u64::from(variant == 3);
+        let mut ts = 0;
+        let events: Vec<Arc<Event>> = (0..len as u64)
+            .map(|i| {
+                ts += if ties { rng.below(3) } else { 1 + rng.below(4) };
+                let x = rng.below(5) as i64 - 2;
+                Event::new(EventTypeId(rng.below(types) as u32), ts, i, vec![Value::Int(x)])
+            })
+            .collect();
+        let pattern = spec.pattern();
+        let n = spec.positives();
+        let plans = [
+            EvalPlan::Tree(rng.tree(n)),
+            EvalPlan::Tree(rng.tree(n)),
+            EvalPlan::Order(OrderPlan::new(rng.shuffled(n))),
+        ];
+        for policy in [SelectionPolicy::SkipTillAny, SelectionPolicy::SkipTillNext] {
+            let expected = oracle_chain(&spec, &events, policy);
+            for plan in &plans {
+                let got = run_plan_multiset(&pattern, policy, plan, &events);
+                prop_assert_eq!(
+                    &got, &expected,
+                    "{:?} ties={} policy {} plan {} diverged from oracle",
+                    spec, ties, policy, plan.describe()
+                );
+            }
+        }
+    }
+}
