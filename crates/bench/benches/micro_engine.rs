@@ -253,8 +253,7 @@ fn bench(c: &mut Criterion) {
     // `lazy_chain` is a different axis entirely: the deferred executor
     // (buffer events, build chains only when a rarest-type trigger
     // fires) at the same rare-first order, so the eager-vs-deferred
-    // trade is measured at a matching workload shape rather than
-    // inferred from the smoke grid alone.
+    // trade is measured at a matching workload shape.
     let plans = [
         ("order_eager", EvalPlan::Order(OrderPlan::identity(5))),
         (

@@ -11,39 +11,23 @@
 //!   fig8       methods on stocks/greedy    (all pattern sets)
 //!   fig9       methods on stocks/zstream   (all pattern sets)
 //!   appendix <seq|and|neg|kleene|or>   figures 10–29 for one set
-//!   smoke [--json PATH]   reduced streaming-runtime probe; writes a
-//!                         machine-readable report (default
-//!                         BENCH_smoke.json) for the CI perf trajectory
-//!   smoke-diff CURRENT BASELINE [--tolerance PCT]
-//!              compares two smoke reports. Semantic drift — match
-//!              counts, partials_live, or buffered_events differing
-//!              from the baseline, a
-//!              baseline grid point disappearing, an empty baseline —
-//!              prints `::error::` and exits 1. Throughput/p99
-//!              regressions beyond PCT percent (default 20) stay
-//!              `::warning::` annotations: timing is trend data from
-//!              shared runners, semantics are a gate.
-//!   scale-cores [--min-speedup X] [--json PATH]
-//!              the multicore data-plane gate: runs the scale_cores
-//!              workload at W=1/2/4 and exits 1 if the match multisets
-//!              differ across worker counts or the W=4 speedup over
-//!              W=1 falls below X (no floor by default — local dev
-//!              boxes may be single-core; CI passes its runner's
-//!              documented floor). Writes the per-W report (default
-//!              BENCH_scale_cores.json).
-//!   all        everything above except smoke
+//!   scale-cores [--min-speedup X]
+//!              the multicore data-plane gate: runs the stocks queries
+//!              over 64 keys × 6 000 events/key at W=1/2/4, prints the
+//!              per-W table, and exits 1 if the match multisets differ
+//!              across worker counts or the W=4 speedup over W=1 falls
+//!              below X (no floor by default — local dev boxes may be
+//!              single-core; CI passes its runner's documented floor)
+//!   all        fig5, table1, fig6–fig9 and every appendix set
 //! ```
 
-use acep_bench::{
-    appendix, diff_reports, fig5, fig6to9, run_scale_cores, run_smoke, table1, HarnessConfig,
-    Scale, SmokeConfig, COMBOS,
-};
+use acep_bench::{appendix, fig5, fig6to9, scale_cores, table1, HarnessConfig, Scale, COMBOS};
 use acep_workloads::PatternSetKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: experiments <fig5|table1|fig6|fig7|fig8|fig9|appendix <set>|smoke [--json PATH]|smoke-diff CURRENT BASELINE|scale-cores [--min-speedup X]|all> [--quick] [--events N]");
+        eprintln!("usage: experiments <fig5|table1|fig6|fig7|fig8|fig9|appendix <set>|scale-cores [--min-speedup X]|all> [--quick] [--events N]");
         std::process::exit(2);
     }
     let quick = args.iter().any(|a| a == "--quick");
@@ -92,122 +76,21 @@ fn main() {
             let set = set_from(args.get(1).map(String::as_str).unwrap_or("seq"));
             appendix(set, &scale, &harness);
         }
-        "smoke" => {
-            let path = args
-                .iter()
-                .position(|a| a == "--json")
-                .and_then(|pos| args.get(pos + 1))
-                .map(String::as_str)
-                .unwrap_or("BENCH_smoke.json");
-            let report = run_smoke(&SmokeConfig::default());
-            println!(
-                "smoke: {} events, baseline {:.0} events/s",
-                report.events, report.baseline_eps
-            );
-            for p in &report.points {
-                let vs = if p.overhead_pct.is_finite() {
-                    format!("{:>+6.1}% vs passthrough", -p.overhead_pct)
-                } else {
-                    "separate workload".into()
-                };
-                let p99 = if p.p99_emission_ms.is_finite() {
-                    format!(", p99 emission {:.0} ms", p.p99_emission_ms)
-                } else {
-                    String::new()
-                };
-                let durability = if p.restore_ms.is_finite() {
-                    format!(
-                        ", log {} KiB, restore {:.1} ms",
-                        p.checkpoint_bytes / 1024,
-                        p.restore_ms
-                    )
-                } else {
-                    String::new()
-                };
-                println!(
-                    "  {:<10} bound {:>4}: {:>9.0} events/s ({vs}), {} matches, {} late, peak buffer {}, {} engines, {} partials, {} buffered{p99}{durability}",
-                    p.strategy,
-                    p.bound,
-                    p.throughput_eps,
-                    p.matches,
-                    p.late_dropped,
-                    p.max_reorder_depth,
-                    p.engines_live,
-                    p.partials_live,
-                    p.buffered_events,
-                );
-            }
-            std::fs::write(path, report.to_json()).expect("writing the smoke report");
-            println!("wrote {path}");
-            // Telemetry-point metrics snapshot, in both exposition
-            // formats, next to the report (CI uploads all three).
-            let stem = path.strip_suffix(".json").unwrap_or(path);
-            let prom_path = format!("{stem}_prometheus.txt");
-            let telem_path = format!("{stem}_telemetry.json");
-            std::fs::write(&prom_path, &report.prometheus)
-                .expect("writing the Prometheus snapshot");
-            std::fs::write(&telem_path, &report.telemetry_json)
-                .expect("writing the telemetry JSON snapshot");
-            println!("wrote {prom_path}\nwrote {telem_path}");
-        }
-        "smoke-diff" => {
-            let positional: Vec<&String> = args[1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .collect();
-            let [current_path, baseline_path] = positional[..] else {
-                eprintln!("usage: experiments smoke-diff CURRENT BASELINE [--tolerance PCT]");
-                std::process::exit(2);
-            };
-            let tolerance: f64 = args
-                .iter()
-                .position(|a| a == "--tolerance")
-                .and_then(|pos| args.get(pos + 1))
-                .map(|s| s.parse().expect("--tolerance takes a number"))
-                .unwrap_or(20.0);
-            let read = |path: &str| {
-                std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("reading smoke report {path}: {e}"))
-            };
-            let diff = diff_reports(&read(current_path), &read(baseline_path), tolerance);
-            if diff.is_clean() {
-                println!("smoke-diff: every grid point within {tolerance}% of {baseline_path}");
-            }
-            // GitHub Actions annotation syntax; plain noise elsewhere.
-            for w in &diff.warnings {
-                println!("::warning::bench-smoke regression: {w}");
-            }
-            for e in &diff.errors {
-                println!("::error::bench-smoke drift: {e}");
-            }
-            if !diff.errors.is_empty() {
-                eprintln!(
-                    "smoke-diff: {} semantic drift error(s) against {baseline_path} — \
-                     match counts, partials_live, and buffered_events are deterministic on this grid, so \
-                     a drift is a behavior change, not runner noise. If intentional, \
-                     regenerate the baseline (`experiments smoke --json BENCH_baseline.json`) \
-                     and commit it.",
-                    diff.errors.len()
-                );
-                std::process::exit(1);
-            }
-        }
         "scale-cores" => {
             let min_speedup: Option<f64> = args
                 .iter()
                 .position(|a| a == "--min-speedup")
                 .and_then(|pos| args.get(pos + 1))
                 .map(|s| s.parse().expect("--min-speedup takes a number"));
-            let path = args
-                .iter()
-                .position(|a| a == "--json")
-                .and_then(|pos| args.get(pos + 1))
-                .map(String::as_str)
-                .unwrap_or("BENCH_scale_cores.json");
-            let report = run_scale_cores(&SmokeConfig::default());
+            let report = scale_cores::run_scale_cores(
+                scale_cores::KEYS,
+                scale_cores::EVENTS_PER_KEY,
+                scale_cores::REPEATS,
+            );
             println!(
-                "scale-cores: {} events ({} repeats per worker count)",
-                report.events, report.repeats
+                "scale-cores: {} events (best of {} runs per worker count)",
+                report.events,
+                scale_cores::REPEATS
             );
             for p in &report.points {
                 println!(
@@ -215,8 +98,6 @@ fn main() {
                     p.workers, p.throughput_eps, p.speedup, p.matches, p.match_hash
                 );
             }
-            std::fs::write(path, report.to_json()).expect("writing the scale-cores report");
-            println!("wrote {path}");
             let mut failed = false;
             if !report.multisets_agree() {
                 println!(

@@ -80,7 +80,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale for benches and smoke tests.
+    /// Reduced scale for the criterion benches and `--quick` runs.
     pub fn quick() -> Self {
         Self {
             events: 15_000,

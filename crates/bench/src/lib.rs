@@ -8,12 +8,16 @@
 //!   estimate `d_avg`;
 //! * [`experiments`] — the figure/table drivers shared by the
 //!   `experiments` binary and the criterion benches;
-//! * [`smoke`] — the reduced per-commit performance probe CI runs and
-//!   uploads as `BENCH_smoke.json`.
+//! * [`scale_cores`] — the multicore data-plane gate behind
+//!   `experiments scale-cores`.
+//!
+//! The criterion benches time single layers; end-to-end performance is
+//! measured by the benchmark package (`benchmark/run.sh`, documented in
+//! `benchmark/README.md`).
 
 pub mod experiments;
 pub mod harness;
-pub mod smoke;
+pub mod scale_cores;
 
 pub use experiments::{
     appendix, fig5, fig6to9, method_comparison, methods, table1, Combo, ComboInputs, MethodRow,
@@ -21,8 +25,4 @@ pub use experiments::{
 };
 pub use harness::{
     best_of, estimate_d_avg, run_one, scan_distance, scan_threshold, HarnessConfig, RunResult,
-};
-pub use smoke::{
-    diff_reports, parse_points, run_scale_cores, run_smoke, ParsedPoint, ScaleCoresPoint,
-    ScaleCoresReport, SmokeConfig, SmokeDiff, SmokePoint, SmokeReport, SCALE_CORES_WORKERS,
 };

@@ -25,8 +25,7 @@
 //! * [`runtime`] — [`AdaptiveCep`], the detection-adaptation loop of
 //!   Algorithm 1 as the single-key controller + engine composition,
 //!   and [`EngineTemplate`] for stamping out controllers and engines
-//!   of one pattern cheaply;
-//! * [`concurrent`] — background statistics estimation.
+//!   of one pattern cheaply.
 //!
 //! To run *many* patterns over a *partitioned* stream across parallel
 //! worker shards, layer the `acep-stream` crate on top: it hosts one
@@ -69,7 +68,6 @@
 //! assert_eq!(matches.len(), 1);
 //! ```
 
-pub mod concurrent;
 pub mod controller;
 pub mod distance;
 pub mod invariant;
@@ -77,7 +75,6 @@ pub mod keyed;
 pub mod policy;
 pub mod runtime;
 
-pub use concurrent::BackgroundStats;
 pub use controller::{AdaptationStats, QueryController};
 pub use distance::{average_invariant_relative_difference, average_relative_difference};
 pub use invariant::{Invariant, InvariantSet, SelectionStrategy};

@@ -184,9 +184,9 @@ impl<'a> Iterator for Chain<'a> {
 /// * [`Partial::materialize`] leaves Kleene slots `None`; the finalizer
 ///   fills them from its own buffers;
 /// * stored-partial counts (`partial_count`, the adaptation plane's
-///   cost signal, and the smoke grid's `partials_live` column) do not
-///   scale with Kleene collection sizes — see
-///   `kleene_collection_never_allocates_arena_nodes`.
+///   cost signal, and `partials_live` in the runtime stats and the
+///   `SCENARIO_GOLDEN` pins) do not scale with Kleene collection
+///   sizes — see `kleene_collection_never_allocates_arena_nodes`.
 #[derive(Debug, Clone, Copy)]
 pub struct Partial {
     /// Newest binding node (chain walks toward the seed).

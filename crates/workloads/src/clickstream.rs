@@ -28,7 +28,7 @@
 //! than the window, so a session's steps interleave with the previous
 //! session's tail. Under skip-till-any the funnel steps of different
 //! sessions cross-combine; skip-till-next keeps only gap-free walks and
-//! strict contiguity almost none — the policy axis of the smoke grid.
+//! strict contiguity almost none — the selection-policy axis.
 //!
 //! Events carry `[Value::Int(score), Value::Int(user)]` (trailing
 //! attribute = partition key, as in [`crate::partition`]); the score

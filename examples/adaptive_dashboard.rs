@@ -1,6 +1,5 @@
 //! Side-by-side comparison of all four adaptation policies on the
-//! shifting traffic workload — a miniature of the paper's Figure 6 —
-//! plus a demonstration of the background statistics collector.
+//! shifting traffic workload — a miniature of the paper's Figure 6.
 //!
 //! ```sh
 //! cargo run --release -p acep-examples --bin adaptive_dashboard
@@ -8,7 +7,6 @@
 
 use std::time::Instant;
 
-use acep_core::concurrent::BackgroundStats;
 use acep_core::prelude::*;
 use acep_workloads::{DatasetKind, PatternSetKind, Scenario, ScenarioConfig, TrafficConfig};
 
@@ -70,21 +68,4 @@ fn main() {
             100.0 * m.overhead_fraction(wall)
         );
     }
-
-    // Background statistics: estimation off the hot path.
-    println!("\nbackground statistics collector:");
-    let bg = BackgroundStats::spawn(
-        scenario.num_types(),
-        pattern.canonical(),
-        &StatsConfig::default(),
-        256,
-    );
-    for ev in &events[..20_000] {
-        bg.observe(ev);
-    }
-    std::thread::sleep(std::time::Duration::from_millis(200));
-    let snap = bg.latest(0);
-    let rates: Vec<String> = (0..6).map(|i| format!("{:.1}", snap.rate(i))).collect();
-    println!("  slot rates (ev/s) estimated on the worker thread: {rates:?}");
-    bg.shutdown();
 }
