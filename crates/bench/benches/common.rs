@@ -22,7 +22,7 @@ pub fn cfg() -> Criterion {
 /// Events per benched run (small: criterion repeats runs many times).
 pub const BENCH_EVENTS: usize = 4_000;
 
-/// Harness config shared by the figure benches.
+/// Harness config shared by the ablation benches.
 pub fn harness() -> HarnessConfig {
     HarnessConfig::default()
 }

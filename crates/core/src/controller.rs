@@ -38,7 +38,7 @@ use acep_engine::{build_executor, ExecContext, Executor};
 use acep_plan::{CollectingRecorder, EvalPlan, Planner};
 use acep_stats::{CollectorState, RateState, SharedSnapshot, StatisticsCollector};
 use acep_telemetry::{
-    snapshot_hash, Histogram, Record, ReplanOutcome as ReplanVerdict, ShardRecorder, TelemetryEvent,
+    snapshot_hash, Histogram, ReplanOutcome as ReplanVerdict, ShardRecorder, TelemetryEvent,
 };
 use acep_types::{CanonicalPattern, Event, SubPattern, Timestamp};
 
@@ -221,12 +221,12 @@ impl QueryController {
     fn control_step(&mut self, now: Timestamp) {
         let step_start = Instant::now();
         let at_event = self.stats.events;
-        let recording = self.recorder.enabled();
+        let recorder = self.recorder.as_ref();
         for bi in 0..self.branches.len() {
             let snapshot = self.collector.shared_snapshot_branch(bi, now);
             // The audit evidence: a digest of exactly the statistics
             // this decision saw. Hashed only when someone listens.
-            let evidence = recording.then(|| snapshot_hash(&snapshot.values()));
+            let evidence = recorder.map(|r| (r, snapshot_hash(&snapshot.values())));
             let b = &mut self.branches[bi];
 
             if !b.initialized {
@@ -248,8 +248,8 @@ impl QueryController {
                     b.epoch += 1;
                     self.stats.plan_epoch += 1;
                     self.last_deploy_event = at_event;
-                    if let Some(snapshot_hash) = evidence {
-                        self.recorder.record(TelemetryEvent::Deployment {
+                    if let Some((rec, snapshot_hash)) = evidence {
+                        rec.record(TelemetryEvent::Deployment {
                             query: self.query_tag,
                             branch: bi as u32,
                             at_event,
@@ -306,13 +306,13 @@ impl QueryController {
             b.policy
                 .on_plan_installed(&rec.into_condition_sets(), &snapshot, outcome);
             self.stats.planning_time += t1.elapsed();
-            if let Some(snapshot_hash) = evidence {
+            if let Some((rec, snapshot_hash)) = evidence {
                 let verdict = match outcome {
                     ReoptOutcome::Deployed => ReplanVerdict::Deployed,
                     ReoptOutcome::Unchanged => ReplanVerdict::Unchanged,
                     ReoptOutcome::RejectedCandidate => ReplanVerdict::Rejected,
                 };
-                self.recorder.record(TelemetryEvent::Replan {
+                rec.record(TelemetryEvent::Replan {
                     query: self.query_tag,
                     branch: bi as u32,
                     at_event,
@@ -322,7 +322,7 @@ impl QueryController {
                     outcome: verdict,
                 });
                 if outcome == ReoptOutcome::Deployed {
-                    self.recorder.record(TelemetryEvent::Deployment {
+                    rec.record(TelemetryEvent::Deployment {
                         query: self.query_tag,
                         branch: bi as u32,
                         at_event,
@@ -339,8 +339,8 @@ impl QueryController {
         }
         let duration_us = step_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.stats.control_step_us.record(duration_us);
-        if recording {
-            self.recorder.record(TelemetryEvent::ControlStep {
+        if let Some(rec) = recorder {
+            rec.record(TelemetryEvent::ControlStep {
                 query: self.query_tag,
                 at_event,
                 now,

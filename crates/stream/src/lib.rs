@@ -13,8 +13,9 @@
 //! assembles per-shard [`ShardBatch`](acep_types::ShardBatch)es —
 //! workers receive ready-to-run shard-local batches over one bounded
 //! lock-free [`SpscRing`] per shard (spin-then-park backpressure; see
-//! [`ring`] and [`ShardStats::ring`]), so the only cross-thread
-//! hand-off on the hot path is the ring's head/tail publication.
+//! [`acep_types::ring`] and [`ShardStats::ring`]), so the only
+//! cross-thread hand-off on the hot path is the ring's head/tail
+//! publication.
 //! Batches are self-clocking: a `push*` call ships every batch whose
 //! shard has an empty ring, and a batch only grows — up to
 //! [`StreamConfig::max_batch`] — while its worker still has a message
@@ -167,7 +168,6 @@
 
 pub mod registry;
 mod reorder;
-pub mod ring;
 pub mod runtime;
 mod shard;
 pub mod sink;
@@ -175,7 +175,6 @@ pub mod stats;
 pub mod telemetry;
 
 pub use registry::{PatternSet, QueryId, QuerySpec};
-pub use ring::{RingStats, SpscRing};
 pub use runtime::{CheckpointStats, RecoveryReport, ShardFailed, ShardedRuntime, StreamConfig};
 pub use sink::{CollectingSink, CountingSink, DedupSink, LateEvent, MatchSink, TaggedMatch};
 
@@ -194,15 +193,16 @@ pub use telemetry::{TelemetryConfig, TelemetryHub};
 
 // Re-exported so runtime users need not depend on `acep-types` or
 // `acep-core` for the common extractors, the event-time configuration,
-// and the adaptation-stats rollups — or on `acep-telemetry` for the
-// histogram / audit / exporter surface the stats snapshot exposes.
+// the shard ring, and the adaptation-stats rollups — or on
+// `acep-telemetry` for the histogram / audit / exporter surface the
+// stats snapshot exposes.
 pub use acep_core::{AdaptationStats, AdaptiveCep};
 pub use acep_telemetry::{
     AuditLog, Histogram, MetricsRegistry, PlanTransition, QueryTrajectory, TelemetryEvent,
 };
 pub use acep_types::{
-    AttrKeyExtractor, DisorderConfig, KeyExtractor, LastAttrKeyExtractor, LatenessPolicy, SourceId,
-    WatermarkStrategy,
+    AttrKeyExtractor, DisorderConfig, KeyExtractor, LastAttrKeyExtractor, LatenessPolicy,
+    RingStats, SourceId, SpscRing, WatermarkStrategy,
 };
 
 /// Compile-time guarantees: controllers, engines and templates cross

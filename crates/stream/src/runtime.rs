@@ -3,8 +3,8 @@
 //! Ingestion is a true multicore data plane: the ingesting thread does
 //! all routing work — key extraction, source tagging, shard hashing,
 //! batch assembly ([`ShardBatch`]) — and hands each worker ready-to-run
-//! shard-local batches over a lock-free SPSC ring
-//! ([`crate::ring::SpscRing`]), one per shard. Workers never
+//! shard-local batches over a lock-free SPSC ring ([`SpscRing`]), one
+//! per shard. Workers never
 //! contend with the producer (or each other) on a lock; backpressure is
 //! the ring's spin-then-park protocol, whose park/wake accounting
 //! surfaces in [`ShardStats::ring`](crate::stats::ShardStats::ring).
@@ -40,11 +40,10 @@ use acep_checkpoint::{CheckpointLog, EventMap, Manifest, ShardCheckpoint};
 use acep_core::EngineTemplate;
 use acep_types::{
     AcepError, DisorderConfig, Event, KeyExtractor, SelectionPolicy, ShardBatch, SourceId,
-    Timestamp,
+    SpscRing, Timestamp,
 };
 
 use crate::registry::PatternSet;
-use crate::ring::SpscRing;
 use crate::shard::{ShardWorker, ToWorker};
 use crate::sink::MatchSink;
 use crate::stats::{RuntimeStats, ShardStats, ShipStats};
@@ -137,13 +136,13 @@ pub struct StreamConfig {
     /// shard and releases them in `(timestamp, seq)` order behind the
     /// shard watermark (see [`crate`] docs).
     pub disorder: DisorderConfig,
-    /// Telemetry plane: `None` (the default) spawns no event rings and
-    /// no recorders — the hot path only ever tests a `None`. `Some`
-    /// enables structured adaptation/event-time records (drained via
+    /// Telemetry plane, and its only switch: `None` (the default)
+    /// spawns no telemetry rings and no recorders — the hot path only
+    /// ever tests a `None`. `Some` enables structured
+    /// adaptation/event-time records (drained via
     /// [`ShardedRuntime::telemetry`]) and, when
     /// [`TelemetryConfig::profile_every`] > 0, sampled per-stage
-    /// profiling. Requires the crate's `telemetry` feature (default
-    /// on); with the feature compiled out this field is ignored.
+    /// profiling.
     pub telemetry: Option<TelemetryConfig>,
     /// When set, every registered query runs under this selection
     /// policy instead of its pattern's own — the knob benchmarks and
@@ -355,10 +354,10 @@ impl ShardedRuntime {
         })
     }
 
-    /// The telemetry collector hub, when `config.telemetry` enabled it
-    /// (and the crate's `telemetry` feature is compiled in). Clone the
-    /// `Arc` to keep polling — or reconstruct the audit log — after
-    /// [`finish`](Self::finish) consumed the runtime.
+    /// The telemetry collector hub, when `config.telemetry` enabled
+    /// it; `None` otherwise. Clone the `Arc` to keep polling — or
+    /// reconstruct the audit log — after [`finish`](Self::finish)
+    /// consumed the runtime.
     pub fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
         self.telemetry.as_ref()
     }

@@ -1,9 +1,9 @@
 //! The worker owning one shard of the key space.
 //!
 //! A worker is a plain thread draining its lock-free SPSC ring (see
-//! [`crate::ring`]): the producer side already extracted partition
-//! keys, tagged sources, and assembled shard-local batches, so the
-//! worker's loop starts at evaluation, not routing. It owns the
+//! [`acep_types::ring`]): the producer side already extracted
+//! partition keys, tagged sources, and assembled shard-local batches,
+//! so the worker's loop starts at evaluation, not routing. It owns the
 //! shard's **adaptation plane** — one
 //! [`QueryController`] per registered query (statistics collector,
 //! decision function `D`, planner `A`, plan epochs) — and its
@@ -74,12 +74,11 @@ use acep_engine::{Match, RelevanceIndex};
 use acep_telemetry::{Histogram, TelemetryEvent};
 use acep_types::faultpoint::{self, FaultPoint};
 use acep_types::{
-    DisorderConfig, Event, EventTypeId, LatenessPolicy, RoutedEvent, SourceId, Timestamp,
+    DisorderConfig, Event, EventTypeId, LatenessPolicy, RoutedEvent, SourceId, SpscRing, Timestamp,
 };
 
 use crate::registry::QueryId;
 use crate::reorder::{Offer, ReorderBuffer};
-use crate::ring::SpscRing;
 use crate::sink::{LateEvent, MatchSink, TaggedMatch};
 use crate::stats::{QueryStats, ShardStats, ShipStats};
 use crate::telemetry::WorkerTelemetry;

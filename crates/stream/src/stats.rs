@@ -26,10 +26,9 @@
 
 use acep_core::{AdaptationStats, KeyedEngine};
 use acep_telemetry::{Histogram, MetricsRegistry};
-use acep_types::{SourceId, Timestamp};
+use acep_types::{RingStats, SourceId, Timestamp};
 
 use crate::registry::QueryId;
-use crate::ring::RingStats;
 
 /// Rollup of every keyed engine instance of one query (within one
 /// shard, or merged across shards).
@@ -253,8 +252,9 @@ pub struct ShardStats {
     /// indexed by [`QueryId`]. Shard-scoped like `adaptation`: where
     /// keys land decides which controller's deployments they chase.
     pub key_migrations: Vec<u64>,
-    /// Telemetry records dropped by this shard's event ring (full ring
-    /// = bounded loss; the hot path never blocks on observability).
+    /// Telemetry records dropped by this shard's telemetry ring (full
+    /// ring = bounded loss; the hot path never blocks on
+    /// observability).
     pub telemetry_dropped: u64,
     /// The shard's ingestion-ring accounting: capacity, park/wake
     /// counts of the backpressure protocol, and the occupancy

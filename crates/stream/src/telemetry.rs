@@ -1,42 +1,38 @@
 //! Runtime-side telemetry plumbing: configuration, the per-worker
 //! recording state, and the collector hub.
 //!
-//! Three gates, from coarse to fine:
+//! Two gates, from coarse to fine:
 //!
-//! 1. **Compile time** — the crate's `telemetry` cargo feature
-//!    (default on). Without it every type here collapses to a no-op
-//!    shape and the workers' instrumentation folds away entirely.
-//! 2. **Runtime** — [`StreamConfig::telemetry`]: `None` (the default)
+//! 1. **Runtime** — [`StreamConfig::telemetry`]: `None` (the default)
 //!    spawns no rings and no recorders, so the hot path only ever
 //!    tests a `None` option.
-//! 3. **Sampling** — [`TelemetryConfig::profile_every`]: per-stage
+//! 2. **Sampling** — [`TelemetryConfig::profile_every`]: per-stage
 //!    wall-clock spans (ingest → reorder → evaluate → finalize) are
 //!    measured on every Nth batch only, because `Instant::now` twice
 //!    per stage per batch is the one cost that could show up at high
 //!    event rates. `0` disables spans while keeping event records.
 //!
 //! Structured [`TelemetryEvent`] records flow worker → collector over
-//! one lock-free SPSC [`EventRing`] per shard; the [`TelemetryHub`]
-//! drains them on demand ([`poll`](TelemetryHub::poll)) and folds them
-//! into the [`AuditLog`]. A full ring drops records and counts the
-//! loss ([`TelemetryHub::dropped`]) — the hot path never blocks on
-//! observability.
+//! one lock-free [`SpscRing`] per shard — the ring type that also
+//! carries ingestion batches, here driven through its non-blocking
+//! `try_push`. The [`TelemetryHub`] drains them on demand
+//! ([`poll`](TelemetryHub::poll)) and folds them into the
+//! [`AuditLog`]. A full ring drops records and counts the loss in the
+//! shard's one drop counter, read by both [`TelemetryHub::dropped`]
+//! and [`ShardStats::telemetry_dropped`] — the hot path never blocks
+//! on observability.
+//!
+//! [`ShardStats::telemetry_dropped`]: crate::ShardStats#structfield.telemetry_dropped
 //!
 //! [`StreamConfig::telemetry`]: crate::StreamConfig#structfield.telemetry
 
-use std::sync::Arc;
-#[cfg(feature = "telemetry")]
-use std::sync::Mutex;
-
-use acep_telemetry::{AuditLog, TelemetryEvent};
-
-#[cfg(feature = "telemetry")]
-use acep_telemetry::{EventRing, Record, ShardRecorder};
-
-#[cfg(feature = "telemetry")]
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-#[cfg(feature = "telemetry")]
+use acep_telemetry::{AuditLog, ShardRecorder, TelemetryEvent};
+use acep_types::SpscRing;
+
 use crate::stats::ShardProfile;
 
 /// Runtime telemetry knobs (see [`StreamConfig::telemetry`]).
@@ -44,8 +40,8 @@ use crate::stats::ShardProfile;
 /// [`StreamConfig::telemetry`]: crate::StreamConfig#structfield.telemetry
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Capacity of each shard's event ring (rounded up to a power of
-    /// two). Sized for the burst between two
+    /// Capacity of each shard's telemetry ring (rounded up to a power
+    /// of two). Sized for the burst between two
     /// [`poll`](TelemetryHub::poll)s: deployments, migrations and
     /// stalls are rare, so the default comfortably covers minutes of
     /// adaptation churn; overflow drops records with accounting.
@@ -82,37 +78,26 @@ impl TelemetryConfig {
 /// [`ShardedRuntime::telemetry`](crate::ShardedRuntime::telemetry);
 /// clone the `Arc` before [`finish`](crate::ShardedRuntime::finish) to
 /// audit a completed run.
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub struct TelemetryHub {
-    rings: Vec<Arc<EventRing>>,
+    /// Per shard: the ring the collector drains and the drop counter
+    /// that shard's recorder bumps.
+    shards: Vec<(Arc<SpscRing<TelemetryEvent>>, Arc<AtomicU64>)>,
     drained: Mutex<Vec<(usize, TelemetryEvent)>>,
 }
 
-#[cfg(feature = "telemetry")]
 impl TelemetryHub {
-    pub(crate) fn new(rings: Vec<Arc<EventRing>>) -> Self {
-        Self {
-            rings,
-            drained: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Drains every shard ring into the hub's accumulated log,
     /// returning how many records were moved. Safe to call
     /// concurrently (drains are serialized internally) and while the
     /// runtime is still processing.
     pub fn poll(&self) -> usize {
         let mut drained = self.drained.lock().unwrap();
-        let mut moved = 0;
-        let mut scratch = Vec::new();
-        for (shard, ring) in self.rings.iter().enumerate() {
-            scratch.clear();
-            ring.drain_into(&mut scratch);
-            moved += scratch.len();
-            drained.extend(scratch.drain(..).map(|ev| (shard, ev)));
+        let before = drained.len();
+        for (shard, (ring, _)) in self.shards.iter().enumerate() {
+            drained.extend(std::iter::from_fn(|| ring.pop()).map(|ev| (shard, ev)));
         }
-        moved
+        drained.len() - before
     }
 
     /// Polls, then returns a copy of every record accumulated so far,
@@ -132,62 +117,34 @@ impl TelemetryHub {
     /// Records dropped across every shard ring (full ring = bounded
     /// loss, never a blocked worker).
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped()).sum()
-    }
-}
-
-/// Feature-disabled stand-in: the type exists so signatures match, but
-/// no constructor exists — [`ShardedRuntime::telemetry`] always
-/// returns `None`.
-///
-/// [`ShardedRuntime::telemetry`]: crate::ShardedRuntime::telemetry
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug)]
-pub struct TelemetryHub {
-    _not_constructible: std::convert::Infallible,
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl TelemetryHub {
-    /// Always 0 (feature disabled).
-    pub fn poll(&self) -> usize {
-        0
-    }
-
-    /// Always empty (feature disabled).
-    pub fn events(&self) -> Vec<(usize, TelemetryEvent)> {
-        Vec::new()
-    }
-
-    /// Always empty (feature disabled).
-    pub fn audit(&self) -> AuditLog {
-        AuditLog::default()
-    }
-
-    /// Always 0 (feature disabled).
-    pub fn dropped(&self) -> u64 {
-        0
+        self.shards
+            .iter()
+            .map(|(_, dropped)| dropped.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
 /// Builds the telemetry plane for `shards` workers: the shared hub
 /// (when enabled) plus one [`WorkerTelemetry`] per shard to move onto
 /// its thread.
-#[cfg(feature = "telemetry")]
 pub(crate) fn build_plane(
     config: Option<&TelemetryConfig>,
     shards: usize,
 ) -> (Option<Arc<TelemetryHub>>, Vec<WorkerTelemetry>) {
     match config {
         Some(tc) => {
-            let rings: Vec<Arc<EventRing>> = (0..shards)
-                .map(|_| Arc::new(EventRing::new(tc.ring_capacity)))
+            let shards: Vec<_> = (0..shards)
+                .map(|_| (Arc::new(SpscRing::new(tc.ring_capacity)), Arc::default()))
                 .collect();
-            let workers = rings
+            let workers = shards
                 .iter()
-                .map(|r| WorkerTelemetry::new(ShardRecorder::new(Arc::clone(r)), tc.profile_every))
+                .map(|(ring, dropped)| {
+                    let rec = ShardRecorder::new(Arc::clone(ring), Arc::clone(dropped));
+                    WorkerTelemetry::new(rec, tc.profile_every)
+                })
                 .collect();
-            (Some(Arc::new(TelemetryHub::new(rings))), workers)
+            let drained = Mutex::new(Vec::new());
+            (Some(Arc::new(TelemetryHub { shards, drained })), workers)
         }
         None => (
             None,
@@ -196,20 +153,10 @@ pub(crate) fn build_plane(
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-pub(crate) fn build_plane(
-    _config: Option<&TelemetryConfig>,
-    shards: usize,
-) -> (Option<Arc<TelemetryHub>>, Vec<WorkerTelemetry>) {
-    (None, (0..shards).map(|_| WorkerTelemetry).collect())
-}
-
 /// Per-worker telemetry state: the shard's recorder handle plus the
 /// sampled profiling histograms. Lives on the worker thread; all
 /// methods are safe to call unconditionally — with telemetry disabled
-/// (at runtime or compile time) they reduce to a `None` test or
-/// nothing at all.
-#[cfg(feature = "telemetry")]
+/// they reduce to a `None` test.
 pub(crate) struct WorkerTelemetry {
     rec: Option<ShardRecorder>,
     profile: Option<Box<ShardProfile>>,
@@ -218,7 +165,6 @@ pub(crate) struct WorkerTelemetry {
     profiling_batch: bool,
 }
 
-#[cfg(feature = "telemetry")]
 impl WorkerTelemetry {
     pub(crate) fn disabled() -> Self {
         Self {
@@ -349,71 +295,5 @@ impl WorkerTelemetry {
     /// The sampled profiling histograms, for stats snapshots.
     pub(crate) fn profile_snapshot(&self) -> Option<Box<ShardProfile>> {
         self.profile.clone()
-    }
-}
-
-/// Feature-disabled stand-in: a ZST whose methods compile to nothing.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Clone, Copy)]
-pub(crate) struct WorkerTelemetry;
-
-#[cfg(not(feature = "telemetry"))]
-#[allow(dead_code)]
-impl WorkerTelemetry {
-    pub(crate) fn disabled() -> Self {
-        Self
-    }
-
-    #[inline(always)]
-    pub(crate) fn enabled(&self) -> bool {
-        false
-    }
-
-    pub(crate) fn recorder(&self) -> Option<&acep_telemetry::ShardRecorder> {
-        None
-    }
-
-    #[inline(always)]
-    pub(crate) fn record(&self, _ev: TelemetryEvent) {}
-
-    pub(crate) fn dropped(&self) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub(crate) fn begin_batch(&mut self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub(crate) fn profiling(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub(crate) fn timer(&self) -> Option<std::time::Instant> {
-        None
-    }
-
-    #[inline(always)]
-    pub(crate) fn stage_ingest(&mut self, _t: Option<std::time::Instant>) {}
-
-    #[inline(always)]
-    pub(crate) fn stage_reorder(&mut self, _t: Option<std::time::Instant>) {}
-
-    #[inline(always)]
-    pub(crate) fn stage_evaluate(&mut self, _t: Option<std::time::Instant>) {}
-
-    #[inline(always)]
-    pub(crate) fn stage_finalize(&mut self, _t: Option<std::time::Instant>) {}
-
-    #[inline(always)]
-    pub(crate) fn batch_shape(&mut self, _events: usize, _depth: usize) {}
-
-    #[inline(always)]
-    pub(crate) fn sample_arena(&mut self, _live: usize, _nodes: usize) {}
-
-    pub(crate) fn profile_snapshot(&self) -> Option<Box<crate::stats::ShardProfile>> {
-        None
     }
 }

@@ -51,7 +51,7 @@ pub enum ReplanOutcome {
 }
 
 /// One structured record emitted by the runtime's hot paths into a
-/// shard's [`EventRing`](crate::EventRing).
+/// shard's telemetry ring (through its [`ShardRecorder`](crate::ShardRecorder)).
 ///
 /// Variants mirror the runtime's adaptation and event-time machinery:
 /// the control plane emits [`ControlStep`](Self::ControlStep) /

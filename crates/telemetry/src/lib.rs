@@ -8,16 +8,17 @@
 //! * [`Histogram`] — mergeable log₂-bucketed distributions
 //!   (p50/p90/p99/max at power-of-two resolution); recording is a few
 //!   integer ops.
-//! * [`TelemetryEvent`] + [`EventRing`] — structured records of the
-//!   adaptation loop (control steps, re-plan decisions with
-//!   before/after cost estimates and the triggering snapshot hash,
-//!   deployments, per-key migrations, generation retirements) and the
-//!   event-time machinery (reorder evictions, watermark stalls),
-//!   carried per shard over a lock-free SPSC ring that **drops and
-//!   counts** on overflow instead of blocking the hot path.
-//! * [`ShardRecorder`] / [`NoopRecorder`] / the [`Record`] trait — the
-//!   producer handles. `NoopRecorder` is a ZST whose methods compile
-//!   to nothing: the disabled configuration costs literally zero.
+//! * [`TelemetryEvent`] — structured records of the adaptation loop
+//!   (control steps, re-plan decisions with before/after cost
+//!   estimates and the triggering snapshot hash, deployments, per-key
+//!   migrations, generation retirements) and the event-time machinery
+//!   (reorder evictions, watermark stalls).
+//! * [`ShardRecorder`] — the producer handle of one shard's
+//!   [`SpscRing`](acep_types::SpscRing) (the same lock-free ring that
+//!   carries ingestion batches). It offers each record with `try_push`
+//!   and, on a full ring, **drops and counts** it instead of blocking
+//!   the hot path. Hot paths hold an `Option<ShardRecorder>`: telemetry
+//!   off is a `None` test.
 //! * [`MetricsRegistry`] — an on-demand metrics snapshot (counters,
 //!   gauges, histograms with stable names and labels) with two
 //!   exporters: Prometheus text format and a JSON snapshot.
@@ -34,11 +35,9 @@ mod event;
 mod hist;
 mod recorder;
 mod registry;
-mod ring;
 
 pub use audit::{AuditLog, PlanTransition, QueryTrajectory};
 pub use event::{fnv_fold, fnv_start, snapshot_hash, ReplanOutcome, TelemetryEvent};
 pub use hist::{bucket_bound, bucket_of, Histogram, NUM_BUCKETS};
-pub use recorder::{NoopRecorder, Record, ShardRecorder};
+pub use recorder::ShardRecorder;
 pub use registry::{Metric, MetricValue, MetricsRegistry};
-pub use ring::EventRing;

@@ -55,6 +55,7 @@ pub mod partition;
 pub mod pattern;
 pub mod predicate;
 pub mod program;
+pub mod ring;
 pub mod schema;
 pub mod selection;
 pub mod value;
@@ -73,6 +74,7 @@ pub use partition::{
 pub use pattern::{Pattern, PatternBuilder, PatternExpr};
 pub use predicate::{attr, attr_plus, constant, CmpOp, Operand, Predicate, VarId};
 pub use program::{PairGroup, Programs};
+pub use ring::{RingStats, SpscRing};
 pub use schema::{AttrId, EventSchema, SchemaRegistry};
 pub use selection::SelectionPolicy;
 pub use value::Value;

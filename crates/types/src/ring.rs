@@ -1,25 +1,28 @@
-//! Lock-free SPSC shard rings: the runtime's ingestion channel.
+//! The workspace's one lock-free single-producer/single-consumer ring.
 //!
-//! One [`SpscRing`] per shard replaces the bounded mutex channel
-//! (`std::sync::mpsc::sync_channel`) between the ingesting thread and
-//! the shard worker. The pattern is the one already proven by
-//! `acep-telemetry`'s `EventRing` — power-of-two slot array, monotone
-//! head/tail published with `Release`/`Acquire` — extended with the
-//! two things an ingestion channel needs that a telemetry ring must
-//! not have:
+//! [`SpscRing`] is a power-of-two slot array with monotone head/tail
+//! counters: a slot write is published by the tail store, a slot read
+//! is freed by the head store. The same ring serves two channels with
+//! two producer protocols:
 //!
-//! * **Backpressure instead of loss.** A full telemetry ring drops the
-//!   record; a full ingestion ring must make the *producer* wait.
-//!   [`push`](SpscRing::push) spins briefly (the consumer is usually
-//!   mid-batch and frees a slot within microseconds), then **parks**
-//!   the producer thread, to be unparked by the consumer's next pop.
-//!   Parks and wakes are counted per side ([`RingStats`]) so the
-//!   stall behavior of a loaded pipeline is observable, and the
-//!   protocol's accounting invariant — `wakes ≤ parks + 1` per ring —
-//!   is pinned by `stream_determinism`.
-//! * **A close handshake.** Dropping the producer side marks the ring
-//!   closed and wakes the consumer, which drains what remains and
+//! * **Ingestion: blocking [`push`](SpscRing::push).** The sharded
+//!   runtime feeds each worker its [`ShardBatch`](crate::ShardBatch)es
+//!   over one ring per shard. A full ingestion ring must make the
+//!   *producer* wait, never lose a batch: `push` spins briefly (the
+//!   consumer is usually mid-batch and frees a slot within
+//!   microseconds), then **parks** the producer thread, to be unparked
+//!   by the consumer's next pop. Parks and wakes are counted per side
+//!   ([`RingStats`]) so the stall behavior of a loaded pipeline is
+//!   observable, and the protocol's accounting invariant —
+//!   `wakes ≤ parks + 1` per ring — is pinned by `stream_determinism`.
+//!   Dropping the producer side ([`close`](SpscRing::close)) marks the
+//!   ring closed and wakes the consumer, which drains what remains and
 //!   exits — the lock-free equivalent of a channel disconnect.
+//! * **Telemetry: drop-and-count [`try_push`](SpscRing::try_push).** A
+//!   shard's telemetry records must never block the worker that emits
+//!   them: `try_push` hands a refused record back, and the telemetry
+//!   recorder drops it and counts the loss. The collector drains with
+//!   [`pop`](SpscRing::pop).
 //!
 //! Slot handoff is synchronized purely by the head/tail atomics; the
 //! park/wake flags only govern *liveness* (who sleeps and who must
@@ -32,18 +35,22 @@
 //! success. Every published intent is claimed at most once, which is
 //! what makes the park/wake accounting an invariant rather than a
 //! heuristic. All protocol atomics are `SeqCst`: ring operations run
-//! once per *batch*, not per event, so the cost of full ordering is
-//! noise while the absence of store-buffer reorderings keeps the
-//! no-lost-wakeup argument a straight-line case analysis (see
+//! once per *batch* or per telemetry record, not per event, so
+//! the cost of full ordering is noise while the absence of
+//! store-buffer reorderings keeps the no-lost-wakeup argument a
+//! straight-line case analysis (see `acep-stream`'s
 //! `tests/ring_protocol.rs` for the exhaustively model-checked
 //! interleavings).
 //!
 //! # Safety discipline
 //!
-//! Like `EventRing`, the ring is SPSC **by contract, not by type**:
-//! one thread pushes, one thread pops. `ShardedRuntime` upholds the
-//! producer side by requiring `&mut self` for every ingestion entry
-//! point; the consumer side is the shard worker's single thread.
+//! The ring is SPSC **by contract, not by type**: one thread pushes,
+//! one thread pops. `ShardedRuntime` upholds the ingestion producer
+//! side by requiring `&mut self` for every ingestion entry point; the
+//! consumer side is the shard worker's single thread. Telemetry
+//! producers go through `acep-telemetry`'s `ShardRecorder`
+//! (`Send + !Sync`, all clones kept on the worker thread), and the
+//! telemetry hub serializes its consumers behind a mutex.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -136,7 +143,8 @@ impl Waiter {
 
 /// A bounded, lock-free single-producer/single-consumer message ring
 /// with spin-then-park backpressure and park/wake accounting — the
-/// per-shard ingestion channel (see module docs).
+/// per-shard ingestion channel and telemetry channel (see module
+/// docs).
 #[derive(Debug)]
 pub struct SpscRing<T> {
     slots: Box<[UnsafeCell<Option<T>>]>,

@@ -27,8 +27,10 @@ use acep_stream::{
     AttrKeyExtractor, AuditLog, CollectingSink, DisorderConfig, PatternSet, ShardedRuntime,
     SourceId, StreamConfig, TelemetryConfig,
 };
-use acep_telemetry::{fnv_fold, fnv_start, EventRing, ShardRecorder};
-use acep_types::{attr, constant, Event, EventTypeId, Pattern, PatternExpr, Timestamp, Value};
+use acep_telemetry::{fnv_fold, fnv_start, ShardRecorder};
+use acep_types::{
+    attr, constant, Event, EventTypeId, Pattern, PatternExpr, SpscRing, Timestamp, Value,
+};
 
 const WINDOW: Timestamp = 500;
 
@@ -171,8 +173,9 @@ fn audit_trail_reconstructs_the_golden_plan_trajectory() {
         };
         let template = EngineTemplate::new(&pattern, 3, config()).unwrap();
         let mut controller = template.controller();
-        let ring = Arc::new(EventRing::new(1 << 14));
-        controller.set_recorder(ShardRecorder::new(Arc::clone(&ring)), 7);
+        let ring = Arc::new(SpscRing::new(1 << 14));
+        let recorder = ShardRecorder::new(Arc::clone(&ring), Arc::default());
+        controller.set_recorder(recorder.clone(), 7);
 
         // Rendered plans before any event — the digest's prefix.
         let nb = controller.num_branches();
@@ -194,11 +197,11 @@ fn audit_trail_reconstructs_the_golden_plan_trajectory() {
             want_reps,
             "{name}: replacement count"
         );
-        assert_eq!(ring.dropped(), 0, "{name}: ring sized for the run");
+        assert_eq!(recorder.dropped(), 0, "{name}: ring sized for the run");
 
-        let mut drained = Vec::new();
-        ring.drain_into(&mut drained);
-        let tagged: Vec<_> = drained.into_iter().map(|ev| (0usize, ev)).collect();
+        let tagged: Vec<_> = std::iter::from_fn(|| ring.pop())
+            .map(|ev| (0usize, ev))
+            .collect();
         let audit = AuditLog::from_events(&tagged);
         let traj = audit
             .trajectory(0, 7)
@@ -329,11 +332,17 @@ struct StormRun {
     /// Sorted `(query, key, match-key)` strings — the match multiset.
     matches: Vec<String>,
     audit: Option<AuditLog>,
+    /// Records drained from the hub after `finish`.
+    hub_events: usize,
     hub_dropped: u64,
     had_hub: bool,
 }
 
 fn run_storm(telemetry: Option<TelemetryConfig>) -> StormRun {
+    run_storm_on(2, telemetry)
+}
+
+fn run_storm_on(shards: usize, telemetry: Option<TelemetryConfig>) -> StormRun {
     let events = storm_stream(4_000, 1);
     let mut set = PatternSet::new(3);
     set.register("storm-seq", storm_seq_pattern(), config())
@@ -346,7 +355,7 @@ fn run_storm(telemetry: Option<TelemetryConfig>) -> StormRun {
         Arc::new(AttrKeyExtractor { attr: 0 }),
         Arc::clone(&sink) as _,
         StreamConfig {
-            shards: 2,
+            shards,
             telemetry,
             ..StreamConfig::default()
         },
@@ -367,6 +376,7 @@ fn run_storm(telemetry: Option<TelemetryConfig>) -> StormRun {
         stats,
         matches,
         audit: hub.as_ref().map(|h| h.audit()),
+        hub_events: hub.as_ref().map_or(0, |h| h.events().len()),
         hub_dropped: hub.as_ref().map_or(0, |h| h.dropped()),
         had_hub: hub.is_some(),
     }
@@ -480,6 +490,44 @@ fn telemetry_is_invisible_to_the_match_multiset() {
     assert!(
         on.stats.profile().is_none(),
         "profile_every=0 keeps spans off"
+    );
+}
+
+/// A full telemetry ring drops and counts, end to end: a W = 1
+/// in-order run (no reorder buffer, so no batch-cut-dependent stall
+/// records) over a 2-slot ring, polled only after `finish`, must leave
+/// the matches untouched, report one loss figure through both the hub
+/// and the stats snapshot (the shard's one drop counter), and account
+/// for every record a lossless run of the same stream produces.
+#[test]
+fn full_telemetry_ring_drops_and_counts_every_lost_record() {
+    let off = run_storm_on(1, None);
+    let lossless = run_storm_on(
+        1,
+        Some(TelemetryConfig {
+            ring_capacity: 1 << 16,
+            ..TelemetryConfig::default()
+        }),
+    );
+    let lossy = run_storm_on(
+        1,
+        Some(TelemetryConfig {
+            ring_capacity: 2,
+            ..TelemetryConfig::default()
+        }),
+    );
+    assert_eq!(lossy.matches, off.matches, "a full ring changed matches");
+    assert_eq!(lossless.hub_dropped, 0, "ring sized for the whole run");
+    assert!(lossy.hub_dropped > 0, "a 2-slot ring must overflow");
+    assert_eq!(
+        lossy.hub_dropped,
+        lossy.stats.total_telemetry_dropped(),
+        "hub and stats read the same counter"
+    );
+    assert_eq!(
+        lossy.hub_events as u64 + lossy.hub_dropped,
+        lossless.hub_events as u64,
+        "every record is either drained or counted as dropped"
     );
 }
 
